@@ -8,8 +8,9 @@ by the graph's global PageRank, which the offline phase precomputes.
 The approximation is additive (Table I) and degrades on large graphs where
 much mass lives in the tail -- the paper's Fig. 5 shows TPA mis-ranking
 nodes on Twitter for exactly this reason, and this implementation inherits
-that behaviour through the ``local_iterations`` knob: after ``L`` rounds a
-``(1 - alpha)^L`` fraction of the probability mass is PageRank-guessed.
+that behaviour through the ``local_iterations`` knob: after ``L`` rounds of
+:func:`repro.core.cpi.cpi` a ``(1 - alpha)^L`` fraction of the probability
+mass is PageRank-guessed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 
 import numpy as np
 
+from repro.core.cpi import cpi
 from repro.core.result import SSRWRResult
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.hop import expand_ranges
@@ -42,18 +44,14 @@ class TPAIndex:
 
     def query(self, source, *, local_iterations=8):
         """SSRWR estimate: exact short-walk part + PageRank tail."""
-        graph = self.graph
-        if not 0 <= source < graph.n:
-            raise ParameterError(
-                f"source {source} out of range for n={graph.n}"
-            )
-        if local_iterations < 0:
-            raise ParameterError("local_iterations must be >= 0")
         tic = time.perf_counter()
-        partial, leftover = _truncated_iteration(
-            graph, source, self.alpha, local_iterations
-        )
-        estimates = partial + leftover * self.pagerank
+        # The short-walk part is the cumulative power iteration of the
+        # degraded serving tier (which also validates source and rounds);
+        # its leftover mass is the tail TPA guesses.
+        partial = cpi(self.graph, source, alpha=self.alpha,
+                      rounds=local_iterations)
+        leftover = partial.extras["error_bound"]
+        estimates = partial.estimates + leftover * self.pagerank
         elapsed = time.perf_counter() - tic
         return SSRWRResult(
             source=int(source), estimates=estimates, alpha=self.alpha,
@@ -61,45 +59,6 @@ class TPAIndex:
             extras={"local_iterations": local_iterations,
                     "tail_mass": leftover},
         )
-
-
-def _truncated_iteration(graph, source, alpha, rounds):
-    """``rounds`` Jacobi sweeps; returns (partial pi, unabsorbed mass)."""
-    indptr, indices = graph.indptr, graph.indices
-    degrees = graph.out_degrees
-    restart = graph.dangling == "restart"
-    pi = np.zeros(graph.n, dtype=np.float64)
-    live = np.zeros(graph.n, dtype=np.float64)
-    live[source] = 1.0
-    for _ in range(rounds):
-        active = np.flatnonzero(live > 0.0)
-        if active.size == 0:
-            break
-        mass = live[active]
-        deg = degrees[active]
-        dangling = deg == 0
-        moving_nodes = active[~dangling]
-        moving_mass = mass[~dangling]
-        pi[moving_nodes] += alpha * moving_mass
-        dangling_total = 0.0
-        if dangling.any():
-            d_nodes = active[dangling]
-            d_mass = mass[dangling]
-            if restart:
-                pi[d_nodes] += alpha * d_mass
-                dangling_total = float(d_mass.sum()) * (1.0 - alpha)
-            else:
-                pi[d_nodes] += d_mass
-        live = np.zeros(graph.n, dtype=np.float64)
-        if moving_nodes.size:
-            counts = degrees[moving_nodes]
-            positions = expand_ranges(indptr[moving_nodes], counts)
-            targets = indices[positions]
-            weights = np.repeat((1.0 - alpha) * moving_mass / counts, counts)
-            live += np.bincount(targets, weights=weights, minlength=graph.n)
-        if dangling_total:
-            live[source] += dangling_total
-    return pi, float(live.sum())
 
 
 def _global_pagerank(graph, alpha, tol, max_iters):

@@ -668,7 +668,7 @@ def serving_benchmark(graph, *, num_unique=8, repeat=3, num_workers=4,
         # flush so the timed hot run really computes.
         if hasattr(svc, "warm_up"):
             svc.warm_up()
-        from repro.service import ServiceStats
+        from repro.serving import ServiceStats
 
         svc.query_batch(unique)
         svc.flush_cache()

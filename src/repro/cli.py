@@ -311,24 +311,19 @@ def main(argv=None):
     if args.command == "datasets":
         _print_datasets(args.scale)
         return 0
-    if args.command == "query":
-        return _run_query(args)
-    if args.command == "serve-batch":
-        return _run_serve_batch(args)
-    if args.command == "serve-http":
-        return _run_serve_http(args)
-    if args.command == "walks":
-        return _run_walks_bench(args)
-    if args.command == "push":
-        return _run_push_bench(args)
-    if args.command == "powerpush":
-        return _run_powerpush_bench(args)
-    if args.command == "topk":
-        return _run_topk_bench(args)
-    if args.command == "dynamic":
-        return _run_dynamic_bench(args)
-    if args.command == "scale":
-        return _run_scale_bench(args)
+    runner = {
+        "query": _run_query,
+        "serve-batch": _run_serve_batch,
+        "serve-http": _run_serve_http,
+        "walks": _run_walks_bench,
+        "push": _run_push_bench,
+        "powerpush": _run_powerpush_bench,
+        "topk": _run_topk_bench,
+        "dynamic": _run_dynamic_bench,
+        "scale": _run_scale_bench,
+    }.get(args.command)
+    if runner is not None:
+        return runner(args)
     if args.command == "compare":
         from repro.bench.compare import compare_files
 

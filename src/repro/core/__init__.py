@@ -18,18 +18,17 @@ from repro.core.params import (
     ResAccParams,
     fora_r_max,
 )
-from repro.core.powerpush import (
-    SOLVER_ENV,
-    SOLVERS,
-    get_solver,
-    powerpush,
-    powerpush_batch,
-    resolve_solver,
-)
+from repro.core.powerpush import powerpush, powerpush_batch
 from repro.core.remedy import RemedyOutcome, remedy
 from repro.core.resacc import resacc
 from repro.core.result import SSRWRResult, top_k_order
 from repro.core.serialize import load_result, save_result
+from repro.core.solvers import (
+    SOLVER_ENV,
+    SOLVERS,
+    get_solver,
+    resolve_solver,
+)
 from repro.core.topk import TopKResult, topk_certified, topk_ssrwr
 from repro.core.topk_solver import (
     TopKAnswer,

@@ -4,10 +4,10 @@ TPA (Yoon et al., arXiv:1708.02574) observes that truncating the power
 expansion of RWR after ``L`` rounds leaves a *known* amount of
 probability mass unplaced: the walk mass still "live" after ``L`` steps,
 which shrinks geometrically (``(1 - alpha)^L`` on dangling-free graphs).
-:func:`cpi` runs exactly that truncated iteration -- the same recurrence
-as :func:`repro.baselines.tpa._truncated_iteration`, honoring both
-dangling policies -- and returns the partial vector *with its computable
-error bound* instead of guessing the tail from global PageRank.
+:func:`cpi` runs exactly that truncated iteration, honoring both
+dangling policies, and returns the partial vector *with its computable
+error bound*; :class:`repro.baselines.tpa.TPAIndex` runs the same
+function and guesses the leftover tail from global PageRank instead.
 
 The bound is elementary: every entry of the exact vector equals the
 partial estimate plus some share of the still-live mass that will be

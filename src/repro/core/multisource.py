@@ -2,11 +2,11 @@
 
 The paper extends every SSRWR algorithm to MSRWR by running it once per
 source.  :func:`msrwr` wraps that loop, records per-source timings and
-exposes the estimates as a ``(|S|, n)`` matrix.  When the solver is
-PowerPush (by name, or the :func:`repro.core.powerpush.powerpush`
-callable itself), the loop is replaced by one blocked
-:func:`~repro.core.powerpush.powerpush_batch` solve -- byte-identical
-results, one shared global sweep instead of ``|S|``.
+exposes the estimates as a ``(|S|, n)`` matrix.  When the named solver
+has a blocked batch solve (PowerPush, see :mod:`repro.core.solvers`),
+the loop is replaced by one :func:`~repro.core.powerpush.powerpush_batch`
+solve -- byte-identical results, one shared global sweep instead of
+``|S|``.
 """
 
 from __future__ import annotations
@@ -50,21 +50,15 @@ class MSRWRResult:
         return self.matrix[idx]
 
 
-def _is_powerpush(solver):
-    from repro.core.powerpush import powerpush
-
-    return solver is powerpush or getattr(solver, "func", None) is powerpush
-
-
 def msrwr(graph, sources, solver=None, *, keep_results=False):
     """Answer an MSRWR query by running ``solver`` once per source.
 
     ``solver`` is any callable ``solver(graph, source) -> SSRWRResult``
     (e.g. ``functools.partial(resacc, accuracy=...)``), a solver name
     (``"auto"`` / ``"resacc"`` / ``"powerpush"``), or ``None`` to
-    resolve via the ``REPRO_SOLVER`` environment variable.  PowerPush
-    requests (by name, function, or a ``functools.partial`` over it)
-    are dispatched to the blocked batch solve.
+    resolve via the ``REPRO_SOLVER`` environment variable.  Named
+    solvers whose registry entry has a blocked batch solve answer all
+    sources at once; callables always run once per source.
     """
     sources = [int(s) for s in sources]
     if not sources:
@@ -72,33 +66,27 @@ def msrwr(graph, sources, solver=None, *, keep_results=False):
     for s in sources:
         if not 0 <= s < graph.n:
             raise ParameterError(f"source {s} out of range for n={graph.n}")
+    batch = None
     if solver is None or isinstance(solver, str):
-        from repro.core.powerpush import get_solver
+        from repro.core.solvers import get
 
-        solver = get_solver(solver)
+        entry = get(solver)
+        solver = entry.solve
+        if entry.blocked_batch:
+            tic = time.perf_counter()
+            batch = entry.solve_batch(graph, sources)
+            share = (time.perf_counter() - tic) / len(sources)
     matrix = np.empty((len(sources), graph.n), dtype=np.float64)
     seconds = []
     kept = []
-    if _is_powerpush(solver):
-        from repro.core.powerpush import powerpush_batch
-
-        keywords = getattr(solver, "keywords", None) or {}
-        batch_kwargs = {k: v for k, v in keywords.items()
-                        if k in ("params", "accuracy")}
-        tic = time.perf_counter()
-        results = powerpush_batch(graph, sources, **batch_kwargs)
-        share = (time.perf_counter() - tic) / len(sources)
-        for i, result in enumerate(results):
-            matrix[i] = result.estimates
-            seconds.append(share)
-            if keep_results:
-                kept.append(result)
-        return MSRWRResult(sources=sources, matrix=matrix,
-                           per_source_seconds=seconds, results=kept)
     for i, s in enumerate(sources):
-        tic = time.perf_counter()
-        result = solver(graph, s)
-        seconds.append(time.perf_counter() - tic)
+        if batch is None:
+            tic = time.perf_counter()
+            result = solver(graph, s)
+            seconds.append(time.perf_counter() - tic)
+        else:
+            result = batch[i]
+            seconds.append(share)
         matrix[i] = result.estimates
         if keep_results:
             kept.append(result)

@@ -41,19 +41,26 @@ blocked arithmetic is bitwise independent of the block width, so
 
 Solver selection mirrors ``REPRO_PUSH_BACKEND``: the ``REPRO_SOLVER``
 environment variable (or an explicit ``solver=`` kwarg on the engines)
-picks ``auto`` / ``resacc`` / ``powerpush``, with ``auto`` resolving to
-``resacc`` -- the paper's algorithm stays the default.
+picks ``auto`` / ``resacc`` / ``powerpush`` from the registry in
+:mod:`repro.core.solvers`, with ``auto`` resolving to ``resacc`` -- the
+paper's algorithm stays the default.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 
 from repro.core.params import AccuracyParams, ResAccParams
 from repro.core.result import SSRWRResult
+# Solver selection lives in the registry; re-exported for old imports.
+from repro.core.solvers import (  # noqa: F401
+    SOLVER_ENV,
+    SOLVERS,
+    get_solver,
+    resolve_solver,
+)
 from repro.errors import ParameterError
 from repro.obs.trace import NULL_TRACE
 from repro.push.forward import PushStats, init_state
@@ -65,42 +72,6 @@ from repro.push.kernels import (
     get_push_cache,
     power_block_loop,
 )
-
-#: Environment variable selecting the solver (``REPRO_PUSH_BACKEND``
-#: analogue at the solver level).
-SOLVER_ENV = "REPRO_SOLVER"
-
-#: Recognized solver names (``auto`` resolves at call time).
-SOLVERS = ("auto", "resacc", "powerpush")
-
-
-def resolve_solver(solver=None):
-    """Resolve a solver request to ``"resacc"`` or ``"powerpush"``.
-
-    ``solver=None`` consults :data:`SOLVER_ENV` (default ``auto``);
-    ``auto`` resolves to ``resacc``, the paper's algorithm.  Unknown
-    names raise :class:`~repro.errors.ParameterError`.  Both the solo
-    and the batched serving paths resolve through here, so one engine
-    configuration always maps a cache key to exactly one solver.
-    """
-    name = solver if solver is not None \
-        else os.environ.get(SOLVER_ENV, "auto")
-    name = str(name).strip().lower() or "auto"
-    if name not in SOLVERS:
-        raise ParameterError(
-            f"unknown solver {name!r}; expected one of {SOLVERS}"
-        )
-    return "resacc" if name == "auto" else name
-
-
-def get_solver(solver=None):
-    """The solver callable for a (resolved) solver name."""
-    name = resolve_solver(solver)
-    if name == "powerpush":
-        return powerpush
-    from repro.core.resacc import resacc
-
-    return resacc
 
 
 def _power_tol(accuracy):

@@ -42,6 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.params import AccuracyParams
+from repro.core.solvers import SOLVERS
 from repro.errors import DeadlineExceededError, ParameterError
 from repro.server import protocol
 from repro.server.limits import (
@@ -846,7 +847,7 @@ def build_parser():
                              "in-process engine, 'multiproc' dispatches "
                              "to solver worker processes over a "
                              "shared-memory graph (docs/multiprocess.md)")
-    parser.add_argument("--solver", choices=("auto", "resacc", "powerpush"),
+    parser.add_argument("--solver", choices=SOLVERS,
                         default=None,
                         help="SSRWR solver backend; default resolves via "
                              "the REPRO_SOLVER env var ('auto' = ResAcc). "

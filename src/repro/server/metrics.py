@@ -7,7 +7,7 @@ families from three sources:
 * the server's own counters (requests by endpoint/status, sheds,
   rate-limits, deadline misses) and a sliding window of request
   latencies (p50/p95 as a Prometheus *summary*);
-* the engine's :class:`repro.service.ServiceStats` (cache behaviour,
+* the engine's :class:`repro.serving.ServiceStats` (cache behaviour,
   solver calls, epoch);
 * when engine tracing is on, the :mod:`repro.obs` per-phase aggregates
   (p50/p95 wall seconds per solver phase).

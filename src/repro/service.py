@@ -6,80 +6,35 @@ continuously.  :class:`QueryEngine` packages the library for that usage:
 
 * answers are cached per source (LRU) and served in microseconds on a
   hit;
-* graph mutations go through an internal :class:`GraphBuilder`; any
-  mutation invalidates the cache -- correct by construction, and cheap
-  because the solver is index-free (the "index" that would need
-  maintenance simply does not exist);
+* any graph mutation invalidates the cache -- correct by construction,
+  and cheap because the solver is index-free (the "index" that would
+  need maintenance simply does not exist);
 * hit/miss/update counters expose the service's behaviour.
 
-The engine is deliberately synchronous and single-threaded: it is a
-reference implementation of the *policy* (cache + invalidate on write),
-not an attempt at a server.
+The policy (cache + invalidate on write) has one implementation,
+:class:`repro.serving.ConcurrentQueryEngine`; :class:`QueryEngine` is
+that engine with a single worker, the historical constructor, and the
+``(graph, source)`` custom-solver signature.
 """
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from repro.serving.engine import ConcurrentQueryEngine, ServiceStats
 
-from repro.core.params import AccuracyParams
-from repro.core.resacc import resacc
-from repro.errors import ParameterError
-from repro.graph.builder import GraphBuilder
-from repro.obs.trace import QueryTrace
+__all__ = ["QueryEngine", "ServiceStats"]
 
 
-@dataclass
-class ServiceStats:
-    """Counters exposed by :class:`QueryEngine` (and the concurrent
-    engine in :mod:`repro.serving`, which adds the last two).
+def _ignore_accuracy_and_seed(custom):
+    """Adapt a ``(graph, source)`` solver to the engine's
+    ``(graph, source, accuracy, seed)`` signature."""
+    def solve(graph, source, accuracy, seed):
+        return custom(graph, source)
 
-    ``solver_calls`` counts actual solver invocations -- with
-    single-flight deduplication it can be smaller than ``cache_misses``
-    would suggest; ``coalesced`` counts queries that piggybacked on
-    another thread's in-flight computation (neither a hit nor a miss);
-    ``deadline_exceeded`` counts queries cancelled cooperatively because
-    their deadline expired (see ``docs/server.md``);
-    ``worker_restarts`` counts solver-pool respawns after a worker
-    process crashed (only the multi-process engine in
-    :mod:`repro.serving.multiproc` can increment it).
-    """
-
-    queries: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    coalesced: int = 0
-    updates: int = 0
-    invalidations: int = 0
-    solver_calls: int = 0
-    solver_seconds: float = 0.0
-    deadline_exceeded: int = 0
-    worker_restarts: int = 0
-    #: top-k queries answered (cache hits included), and how the misses
-    #: were computed: ``topk_fast`` counts early-terminated (separated)
-    #: answers, ``topk_fallback`` full-solve answers (see docs/topk.md).
-    topk_queries: int = 0
-    topk_fast: int = 0
-    topk_fallback: int = 0
-    #: incremental dynamic-graph serving (``incremental=True`` engines,
-    #: see docs/dynamic.md): cached entries kept across a mutation
-    #: because their offset bound still met the accuracy contract, and
-    #: evicted entries recomputed in the background off the read path.
-    entries_retained: int = 0
-    entries_repaired: int = 0
-    #: queries answered by the degraded CPI tier instead of a full solve
-    #: (``query_cheap`` calls; see docs/scale.md).
-    tier_downgrades: int = 0
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def hit_rate(self):
-        return self.cache_hits / self.queries if self.queries else 0.0
+    return solve
 
 
-class QueryEngine:
-    """Cached, update-aware SSRWR query service.
+class QueryEngine(ConcurrentQueryEngine):
+    """Cached, update-aware SSRWR query service (one worker).
 
     Parameters
     ----------
@@ -97,8 +52,8 @@ class QueryEngine:
     trace:
         When true, every solver miss runs with a fresh
         :class:`repro.obs.QueryTrace`; the result carries it on
-        ``.trace`` and the latest summary is attached to
-        ``stats.extras["last_trace"]``.  Cache hits return the original
+        ``.trace`` and the latest summary is :attr:`last_trace`.  Only
+        the latest trace is kept.  Cache hits return the original
         traced result unchanged.
     walk_workers:
         Process-parallel remedy phase (``> 1`` shards each query's walk
@@ -106,196 +61,18 @@ class QueryEngine:
         ``docs/parallel_walks.md``).  The engine keeps one
         :class:`repro.walks.parallel.ParallelWalkExecutor` alive per
         graph snapshot -- mutations retire it together with the cache --
-        so pool startup is paid once, not per query.  Ignored when a
-        custom ``solver`` is supplied.  Call :meth:`close` (or use the
-        engine as a context manager) to release the pool.
+        so pool startup is paid once, not per query.  Call :meth:`close`
+        (or use the engine as a context manager) to release the pool.
     """
 
     def __init__(self, graph, *, solver=None, accuracy=None,
                  cache_size=256, seed=0, trace=False, walk_workers=1):
-        if cache_size < 0:
-            raise ParameterError(f"cache_size must be >= 0, got {cache_size}")
-        if walk_workers < 1:
-            raise ParameterError(
-                f"walk_workers must be >= 1, got {walk_workers}"
-            )
-        self._builder = GraphBuilder(graph=graph)
-        self._graph = self._builder.build()
-        self._accuracy = accuracy
-        self._seed = seed
-        if solver is None or isinstance(solver, str):
-            from repro.core.powerpush import resolve_solver
-
-            self._custom_solver = None
-            self._solver_name = resolve_solver(solver)
-        else:
-            self._custom_solver = solver
-            self._solver_name = None
-        self._cache_size = int(cache_size)
-        self._cache = OrderedDict()
-        self._trace_enabled = bool(trace)
-        self._walk_workers = int(walk_workers)
-        self._walk_executor = None
-        self.stats = ServiceStats()
-
-    def _walk_executor_for(self, graph):
-        """The per-snapshot walk pool (lazily created, ``None`` when
-        ``walk_workers == 1``)."""
-        if self._walk_workers <= 1:
-            return None
-        if self._walk_executor is None:
-            from repro.walks.parallel import ParallelWalkExecutor
-
-            self._walk_executor = ParallelWalkExecutor(
-                graph, self._walk_workers
-            )
-        return self._walk_executor
-
-    def _retire_walk_executor(self):
-        if self._walk_executor is not None:
-            self._walk_executor.close()
-            self._walk_executor = None
-
-    def close(self):
-        """Release the walk-worker pool (no-op when ``walk_workers == 1``)."""
-        self._retire_walk_executor()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
-    def _default_solver(self, graph, source, accuracy=None):
-        accuracy = (accuracy or self._accuracy
-                    or AccuracyParams.paper_defaults(graph.n))
-        trace = QueryTrace() if self._trace_enabled else None
-        if self._solver_name == "powerpush":
-            from repro.core.powerpush import powerpush
-
-            return powerpush(graph, source, accuracy=accuracy, trace=trace)
-        return resacc(graph, source, accuracy=accuracy,
-                      seed=self._seed + source, trace=trace,
-                      walk_workers=self._walk_workers,
-                      walk_executor=self._walk_executor_for(graph))
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def graph(self):
-        """The current graph snapshot (rebuilt after mutations)."""
-        if self._graph is None:
-            self._graph = self._builder.build()
-        return self._graph
-
-    def query(self, source, *, accuracy=None):
-        """SSRWR result for ``source`` (cached).
-
-        ``accuracy`` overrides the engine-level accuracy contract for
-        this query.  The cache is keyed on ``(source, accuracy)``: an
-        answer computed at a loose ``eps`` is never served to a later
-        query demanding a strict one.
-        """
-        source = int(source)
-        if not 0 <= source < self.graph.n:
-            raise ParameterError(
-                f"source {source} out of range for n={self.graph.n}"
-            )
-        effective = accuracy or self._accuracy
-        key = (source, effective)
-        self.stats.queries += 1
-        if key in self._cache:
-            self.stats.cache_hits += 1
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        self.stats.cache_misses += 1
-        tic = time.perf_counter()
-        if self._custom_solver is not None:
-            result = self._custom_solver(self.graph, source)
-        else:
-            result = self._default_solver(self.graph, source, effective)
-        self.stats.solver_seconds += time.perf_counter() - tic
-        self.stats.solver_calls += 1
-        trace = getattr(result, "trace", None)
-        if trace is not None:
-            self.stats.extras["last_trace"] = trace.summary()
-        if self._cache_size:
-            self._cache[key] = result
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return result
-
-    def top_k(self, source, k, *, accuracy=None, mode="auto"):
-        """Top-k answer for ``source`` (cached separately from full
-        queries).
-
-        Returns a :class:`repro.core.TopKAnswer`; existing
-        ``nodes, values = engine.top_k(...)`` call sites keep working
-        because the answer iterates as that pair.  ``mode="auto"`` runs
-        the early-terminating solver of :mod:`repro.core.topk_solver`
-        and falls back to the full solve when the set cannot be
-        certified; ``"fast"`` / ``"full"`` force one path.  With a
-        custom ``solver`` the engine cannot run the fast path and always
-        answers from :meth:`query` (``path="full"``).
-
-        The cache key is ``(source, accuracy, k, mode)``: a fast-path
-        answer for one ``k`` is never reused for another (its bounds
-        certify only that set), and forced-mode answers never shadow
-        ``"auto"`` ones.
-        """
-        from repro.core.topk_solver import answer_from_result, answer_top_k
-
-        source = int(source)
-        k = int(k)
-        if not 0 <= source < self.graph.n:
-            raise ParameterError(
-                f"source {source} out of range for n={self.graph.n}"
-            )
-        if (self._custom_solver is not None
-                or self._solver_name == "powerpush" or mode == "full"):
-            # No fast path possible/requested (the top-k bound solver is
-            # built on ResAcc's push+walk envelope): answer from the
-            # (shared, cached) full query so repeated mixed workloads
-            # reuse it.
-            self.stats.topk_queries += 1
-            answer = answer_from_result(self.query(
-                source, accuracy=accuracy), k)
-            self.stats.topk_fallback += 1
-            return answer
-        effective = accuracy or self._accuracy
-        key = ("topk", source, effective, k, mode)
-        self.stats.queries += 1
-        self.stats.topk_queries += 1
-        if key in self._cache:
-            self.stats.cache_hits += 1
-            self._cache.move_to_end(key)
-            return self._cache[key]
-        self.stats.cache_misses += 1
-        graph = self.graph
-        trace = QueryTrace() if self._trace_enabled else None
-        tic = time.perf_counter()
-        answer = answer_top_k(
-            graph, source, k,
-            accuracy=effective or AccuracyParams.paper_defaults(graph.n),
-            seed=self._seed + source, mode=mode, trace=trace,
-            walk_workers=self._walk_workers,
-            walk_executor=self._walk_executor_for(graph),
-        )
-        self.stats.solver_seconds += time.perf_counter() - tic
-        self.stats.solver_calls += 1
-        if answer.path == "topk":
-            self.stats.topk_fast += 1
-        else:
-            self.stats.topk_fallback += 1
-        if trace is not None:
-            self.stats.extras["last_trace"] = trace.summary()
-        if self._cache_size:
-            self._cache[key] = answer
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return answer
+        if solver is not None and not isinstance(solver, str):
+            solver = _ignore_accuracy_and_seed(solver)
+        super().__init__(graph, solver=solver, accuracy=accuracy,
+                         cache_size=cache_size, seed=seed, max_workers=1,
+                         trace=trace, walk_workers=walk_workers,
+                         trace_capacity=1)
 
     @property
     def last_trace(self):
@@ -315,49 +92,8 @@ class QueryEngine:
                  if int(n) not in banned]
         return picks[:k]
 
-    # ------------------------------------------------------------------
-    # Updates (all invalidate the cache)
-    # ------------------------------------------------------------------
-    def add_edge(self, u, v, *, undirected=False):
-        """Insert an edge; returns whether the graph changed."""
-        if undirected:
-            changed = self._builder.add_undirected_edge(u, v, grow=True)
-        else:
-            changed = self._builder.add_edge(u, v, grow=True)
-        if changed:
-            self._note_update()
-        return changed
-
-    def remove_edge(self, u, v):
-        """Remove a directed edge; returns whether it existed."""
-        changed = self._builder.remove_edge(u, v)
-        if changed:
-            self._note_update()
-        return changed
-
-    def remove_node(self, v):
-        """Detach a node (its id remains valid); returns edges removed."""
-        removed = self._builder.remove_node_edges(v)
-        if removed:
-            self._note_update()
-        return removed
-
-    def _note_update(self):
-        from repro.push.kernels import release_push_cache
-
-        self.stats.updates += 1
-        if self._cache:
-            self.stats.invalidations += len(self._cache)
-            self._cache.clear()
-        # The push cache (thresholds, transpose, scratch) describes the
-        # old snapshot; release it with the snapshot.
-        release_push_cache(self._graph)
-        self._graph = None  # rebuilt lazily on next query
-        # The walk pool shares the old snapshot's CSR arrays; retire it
-        # so the next query re-shares the rebuilt graph.
-        self._retire_walk_executor()
-
     def __repr__(self):
-        return (f"QueryEngine(n={self.graph.n}, m={self.graph.m}, "
+        graph = self.graph
+        return (f"QueryEngine(n={graph.n}, m={graph.m}, "
                 f"cached={len(self._cache)}, "
                 f"hit_rate={self.stats.hit_rate:.2f})")

@@ -10,8 +10,10 @@ pieces:
   thread-safe LRU with per-key flight coalescing and generation-fenced
   invalidation;
 * :mod:`repro.serving.engine` -- :class:`ConcurrentQueryEngine`, the
-  thread-pooled service that composes the two behind the familiar
-  ``query`` / ``query_batch`` / ``add_edge`` surface;
+  one serving engine: it composes the two behind the familiar
+  ``query`` / ``query_batch`` / ``add_edge`` surface and counts into
+  :class:`ServiceStats` (:class:`repro.service.QueryEngine` is it with
+  one worker);
 * :mod:`repro.serving.multiproc` -- :class:`MultiProcessQueryEngine`,
   the same contract dispatched across solver worker *processes* that
   map one shared-memory graph snapshot (breaks the GIL ceiling on
@@ -25,7 +27,7 @@ pieces:
 
 See ``docs/serving.md`` for the design and the determinism contract
 (batched results are byte-identical to a sequential loop for fixed
-seeds -- both engines).
+seeds -- every engine).
 """
 
 from repro.serving.cache import SingleFlightCache
@@ -33,6 +35,7 @@ from repro.serving.engine import (
     WORKER_NAME_PREFIX,
     BatchOutcome,
     ConcurrentQueryEngine,
+    ServiceStats,
 )
 from repro.serving.epoch import EpochGate
 from repro.serving.multiproc import MultiProcessQueryEngine
@@ -52,6 +55,7 @@ __all__ = [
     "EpochGate",
     "MultiProcessQueryEngine",
     "RetentionMeta",
+    "ServiceStats",
     "SingleFlightCache",
     "TIER_CPI",
     "TIER_EXACT",

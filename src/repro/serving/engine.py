@@ -1,9 +1,10 @@
 """Concurrent batched SSRWR query serving.
 
-:class:`ConcurrentQueryEngine` is the multi-threaded counterpart of
-:class:`repro.service.QueryEngine`: the same cache + invalidate-on-write
-policy, executed behind a ``ThreadPoolExecutor`` so a batch of sources
-fans out across workers.  Three mechanisms make that safe:
+:class:`ConcurrentQueryEngine` is the one implementation of the serving
+policy -- cache answers, invalidate them on writes -- executed behind a
+``ThreadPoolExecutor`` so a batch of sources fans out across workers
+(:class:`repro.service.QueryEngine` is this engine with one worker).
+Three mechanisms make that safe:
 
 * a :class:`repro.serving.cache.SingleFlightCache` -- concurrent misses
   on one ``(source, accuracy)`` key compute once, everyone else shares
@@ -12,16 +13,16 @@ fans out across workers.  Three mechanisms make that safe:
   in-flight queries, bump the graph epoch and invalidate the cache
   atomically, so a query never observes a half-applied update and a
   post-mutation query never hits a pre-mutation cache entry;
-* per-source seeding -- the default solver derives its RNG seed from the
-  source id alone (``seed + source``, exactly as the sequential engine
-  does), so the estimate vector for a source is a pure function of
-  ``(graph, source, accuracy, seed)`` and batched execution is
-  byte-identical to a sequential loop regardless of thread scheduling.
+* per-source seeding -- the solver derives its RNG seed from the source
+  id alone (``seed + source``), so the estimate vector for a source is a
+  pure function of ``(graph, source, accuracy, seed)`` and batched
+  execution is byte-identical to a sequential loop regardless of thread
+  scheduling.
 
-The determinism contract is load-bearing: ``tests/test_serving_equivalence.py``
-asserts ``query_batch`` output equals looped ``QueryEngine.query`` output
-byte for byte, which is what lets the stress tests reason about
-correctness under races.
+The determinism contract is load-bearing: ``tests/test_serving_oracle.py``
+asserts every engine path returns the bytes of the bare registry solve
+(:mod:`repro.core.solvers`), which is what lets the stress tests reason
+about correctness under races.
 
 With ``incremental=True`` single-edge mutations stop being catastrophic:
 instead of dropping the whole cache, the engine computes a per-entry
@@ -42,16 +43,62 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.core import solvers
 from repro.core.params import AccuracyParams
-from repro.core.resacc import resacc
 from repro.errors import DeadlineExceededError, ParameterError
 from repro.graph.builder import GraphBuilder
 from repro.obs.trace import DeadlineTrace, QueryTrace
-from repro.service import ServiceStats
 
 #: Thread-name prefix for pool workers; traces are tagged with these
 #: names, which is how per-worker aggregation groups them.
 WORKER_NAME_PREFIX = "ssrwr-worker"
+
+
+@dataclass
+class ServiceStats:
+    """Counters exposed by every serving engine.
+
+    ``solver_calls`` counts actual solver invocations -- with
+    single-flight deduplication it can be smaller than ``cache_misses``
+    would suggest; ``coalesced`` counts queries that piggybacked on
+    another thread's in-flight computation (neither a hit nor a miss);
+    ``deadline_exceeded`` counts queries cancelled cooperatively because
+    their deadline expired (see ``docs/server.md``);
+    ``worker_restarts`` counts solver-pool respawns after a worker
+    process crashed (only the multi-process engine in
+    :mod:`repro.serving.multiproc` can increment it).
+    """
+
+    queries: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    coalesced: int = 0
+    updates: int = 0
+    invalidations: int = 0
+    solver_calls: int = 0
+    solver_seconds: float = 0.0
+    deadline_exceeded: int = 0
+    worker_restarts: int = 0
+    #: top-k queries answered (cache hits included), and how the misses
+    #: were computed: ``topk_fast`` counts early-terminated (separated)
+    #: answers, ``topk_fallback`` full-solve answers (see docs/topk.md).
+    topk_queries: int = 0
+    topk_fast: int = 0
+    topk_fallback: int = 0
+    #: incremental dynamic-graph serving (``incremental=True`` engines,
+    #: see docs/dynamic.md): cached entries kept across a mutation
+    #: because their offset bound still met the accuracy contract, and
+    #: evicted entries recomputed in the background off the read path.
+    entries_retained: int = 0
+    entries_repaired: int = 0
+    #: queries answered by the degraded CPI tier instead of a full solve
+    #: (``query_cheap`` calls; see docs/scale.md).
+    tier_downgrades: int = 0
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def hit_rate(self):
+        return self.cache_hits / self.queries if self.queries else 0.0
 
 
 @dataclass
@@ -85,12 +132,15 @@ class ConcurrentQueryEngine:
         A solver name (``"auto"`` / ``"resacc"`` / ``"powerpush"``), a
         custom callable ``(graph, source, accuracy, seed) ->
         SSRWRResult``, or ``None`` to resolve via the ``REPRO_SOLVER``
-        environment variable (default: ResAcc).  For named solvers the
+        environment variable (default: ResAcc).  Either way it becomes a
+        :class:`repro.core.solvers.SolverEntry`, whose capability flags
+        decide the top-k fast path, blocked batches and retention.  The
         engine passes ``seed = base_seed + source`` so the answer for a
         source is deterministic no matter which worker computes it;
-        with ``"powerpush"`` cold :meth:`query_batch` misses are
-        additionally solved as one blocked multi-source sweep (see
-        :meth:`_query_batch_blocked`), byte-identical to solo solves.
+        with a blocked-batch entry (``"powerpush"``) cold
+        :meth:`query_batch` misses are additionally solved as one
+        blocked multi-source sweep (see :meth:`_query_batch_blocked`),
+        byte-identical to solo solves.
     accuracy:
         Default :class:`repro.core.AccuracyParams`; ``None`` means the
         paper defaults for the current graph size.  Individual queries
@@ -114,8 +164,9 @@ class ConcurrentQueryEngine:
         pool).  The pool is bound to the current graph snapshot and
         retired inside the write gate on mutation.  Per-source
         determinism is preserved: an answer is a pure function of
-        ``(graph, source, accuracy, seed, walk_workers)``.  Ignored when
-        a custom ``solver`` is supplied.
+        ``(graph, source, accuracy, seed, walk_workers)``.  Only ResAcc
+        runs walks: PowerPush and custom solvers receive the pool and
+        ignore it.
     trace_capacity:
         When set, only the most recent ``trace_capacity`` traces are
         retained (older ones are dropped FIFO).  An always-on server
@@ -132,8 +183,10 @@ class ConcurrentQueryEngine:
         a cache miss, in ``(0, 1]``.  ``None`` resolves to ``0.5`` when
         ``incremental`` else ``1.0``.  Tightening creates the error
         slack that lets entries survive edits; ``1.0`` leaves solve
-        accuracy -- and result bytes -- exactly as before.  Ignored for
-        top-k fast-path answers (never retained) and custom solvers.
+        accuracy -- and result bytes -- exactly as before.  Applies only
+        to solvers whose entry is ``retention_safe`` (ResAcc): top-k
+        fast-path answers and other solvers' entries are never
+        retained, so they solve at the contract itself.
     """
 
     def __init__(self, graph, *, solver=None, accuracy=None,
@@ -178,14 +231,7 @@ class ConcurrentQueryEngine:
             self._graph = self._builder.build()
         self._accuracy = accuracy
         self._seed = int(seed)
-        if solver is None or isinstance(solver, str):
-            from repro.core.powerpush import resolve_solver
-
-            self._solver = None
-            self._solver_name = resolve_solver(solver)
-        else:
-            self._solver = solver
-            self._solver_name = None
+        self._solver = solvers.get(solver)
         self._cache = SingleFlightCache(max_size=cache_size)
         self._gate = EpochGate()
         self._max_workers = int(max_workers)
@@ -499,7 +545,7 @@ class ConcurrentQueryEngine:
         for s in sources:
             if not 0 <= s < n and s not in invalid:
                 invalid[s] = f"source {s} out of range for n={n}"
-        blocked = self._solver is None and self._solver_name == "powerpush"
+        blocked = self._solver.blocked_batch
         if on_error == "raise":
             if invalid:
                 raise ParameterError(
@@ -537,12 +583,13 @@ class ConcurrentQueryEngine:
 
     def _query_batch_blocked(self, sources, invalid, accuracy, deadline,
                              on_error):
-        """PowerPush batch serving: one blocked sweep for the cold misses.
+        """Blocked batch serving: one blocked sweep for the cold misses.
 
         The per-source loop pays one global sweep cascade per cold
-        source; PowerPush lets B cold sources share each sweep as an
-        ``(n, B)`` blocked transpose-SpMV, so the whole cold set costs
-        roughly one solve's worth of memory traffic.  The cache contract
+        source; a blocked-batch entry (PowerPush) lets B cold sources
+        share each sweep as an ``(n, B)`` blocked transpose-SpMV, so the
+        whole cold set costs roughly one solve's worth of memory
+        traffic.  The cache contract
         is unchanged: unique sources are triaged in one lock acquisition
         (:meth:`SingleFlightCache.begin_flights`) into cache hits, keys
         already being solved elsewhere (awaited exactly like a solo
@@ -667,22 +714,20 @@ class ConcurrentQueryEngine:
 
     def _compute_block(self, graph, sources, accuracy, epoch,
                        deadline=None):
-        """One blocked PowerPush solve for a batch's cold sources.
+        """One blocked solve (the entry's ``solve_batch``) for a batch's
+        cold sources.
 
         The multi-process engine overrides this to dispatch the block to
         a pool worker against the shared-memory graph.
         """
-        from repro.core.powerpush import powerpush_batch
-
         inner = QueryTrace(epoch=epoch) if self._trace_enabled else None
         trace = inner
         if deadline is not None:
             trace = DeadlineTrace(deadline, inner)
-        solve_accuracy = (self._solve_accuracy_for(graph, accuracy)
-                          or AccuracyParams.paper_defaults(graph.n))
         tic = time.perf_counter()
-        results = powerpush_batch(
-            graph, sources, accuracy=solve_accuracy, trace=trace,
+        results = self._solver.solve_batch(
+            graph, sources,
+            accuracy=self._solve_accuracy_for(graph, accuracy), trace=trace,
         )
         self._record_solver_run(inner, time.perf_counter() - tic)
         return results
@@ -695,9 +740,9 @@ class ConcurrentQueryEngine:
         ``(nodes, values)`` for back-compat).  ``mode="auto"`` tries the
         early-terminating solver of :mod:`repro.core.topk_solver` and
         falls back to the full solve when the set cannot be certified;
-        ``"fast"`` / ``"full"`` force one path.  With a custom
-        ``solver`` the fast path is unavailable and the answer always
-        comes from :meth:`query` (``path="full"``).
+        ``"fast"`` / ``"full"`` force one path.  When the solver entry
+        has no ``topk_fast_path`` (PowerPush, custom solvers) the answer
+        always comes from :meth:`query` (``path="full"``).
 
         Cache keys are ``("topk", source, accuracy, k, mode)`` --
         disjoint from full-query keys, per-``k`` (a certificate covers
@@ -712,15 +757,16 @@ class ConcurrentQueryEngine:
         :class:`repro.errors.DeadlineExceededError`, freeing the worker.
         """
         k = int(k)
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
         if mode not in ("auto", "fast", "full"):
             raise ParameterError(
                 f"mode must be 'auto', 'fast' or 'full', got {mode!r}"
             )
-        if (self._solver is not None or self._solver_name == "powerpush"
-                or mode == "full"):
+        if not self._solver.topk_fast_path or mode == "full":
             # The early-terminating top-k solver is built on ResAcc's
-            # push+walk envelope; custom and PowerPush engines answer
-            # top-k from the full vector instead.
+            # push+walk envelope; other solvers answer top-k from the
+            # full vector instead.
             from repro.core.topk_solver import answer_from_result
 
             result = self.query(source, accuracy=accuracy,
@@ -773,13 +819,14 @@ class ConcurrentQueryEngine:
     def _solve_accuracy_for(self, graph, accuracy):
         """Accuracy handed to the solver on a cache miss.
 
-        With the default ``solve_margin=1.0`` the caller's value passes
-        through untouched (including None, which the solver layers
-        resolve to paper defaults) -- preserving byte identity with the
-        sequential engine.  A tighter margin resolves the contract first
-        and shrinks its ``eps``, creating the retention slack.
+        With the default ``solve_margin=1.0`` -- and for entries that are
+        never retained -- the caller's value passes through untouched
+        (including None, which the solvers resolve to paper defaults),
+        preserving byte identity with the bare solver call.  A tighter
+        margin resolves the contract first and shrinks its ``eps``,
+        creating the retention slack.
         """
-        if self._solve_margin == 1.0:
+        if self._solve_margin == 1.0 or not self._solver.retention_safe:
             return accuracy
         contract = accuracy or AccuracyParams.paper_defaults(graph.n)
         return contract.with_eps(contract.eps * self._solve_margin)
@@ -787,14 +834,13 @@ class ConcurrentQueryEngine:
     def _retention_meta_factory(self, graph, accuracy):
         """Cache-meta callback for a full-query entry, or None.
 
-        Only incremental engines with the default ResAcc solver track
-        retention metadata; a custom solver gives no handle on the
-        accuracy its results actually achieve, and the retention bound
-        was derived against ResAcc's contract, so custom and PowerPush
-        entries fall back to evict-on-mutation.
+        Only incremental engines whose solver entry is
+        ``retention_safe`` (ResAcc) track retention metadata; a custom
+        solver gives no handle on the accuracy its results actually
+        achieve, and the retention bound was derived against ResAcc's
+        contract, so every other entry falls back to evict-on-mutation.
         """
-        if (not self._incremental or self._solver is not None
-                or self._solver_name != "resacc"):
+        if not (self._incremental and self._solver.retention_safe):
             return None
         from repro.serving.retention import RetentionMeta
 
@@ -821,35 +867,16 @@ class ConcurrentQueryEngine:
             # byte-identical when the run finishes in time.
             trace = DeadlineTrace(deadline, inner)
         tic = time.perf_counter()
-        if self._solver is not None:
-            result = self._solver(graph, source, accuracy,
-                                  self._seed + source)
-        elif self._solver_name == "powerpush":
-            from repro.core.powerpush import powerpush
-
-            solve_accuracy = (self._solve_accuracy_for(graph, accuracy)
-                              or AccuracyParams.paper_defaults(graph.n))
-            # Deterministic (zero walks), so seed/walk_workers are moot;
-            # solo solves route through the same B=1 blocked kernel the
-            # batch path uses, which is what makes blocked and solo
-            # answers byte-identical.
-            result = powerpush(
-                graph, source, accuracy=solve_accuracy, trace=trace,
-            )
-        else:
-            solve_accuracy = (self._solve_accuracy_for(graph, accuracy)
-                              or AccuracyParams.paper_defaults(graph.n))
-            result = resacc(
-                graph, source,
-                accuracy=solve_accuracy,
-                seed=self._seed + source, trace=trace,
-                walk_workers=self._walk_workers,
-                walk_executor=self._walk_executor_for(graph),
-            )
+        result = self._solver.solve(
+            graph, source,
+            accuracy=self._solve_accuracy_for(graph, accuracy),
+            seed=self._seed + source, trace=trace,
+            walk_workers=self._walk_workers,
+            walk_executor=self._walk_executor_for(graph),
+        )
         # Cached results carry the real trace (or None), never the
-        # one-shot deadline proxy.  Stripped on *both* solver branches: a
-        # custom solver honouring the deadline contract may attach its
-        # own proxy.
+        # one-shot deadline proxy -- whoever attached it: a custom
+        # solver honouring the deadline contract may attach its own.
         attached = getattr(result, "trace", None)
         if isinstance(attached, DeadlineTrace):
             result.trace = attached.inner or None

@@ -40,11 +40,11 @@ worker processes that all map the *same* graph snapshot zero-copy:
   :class:`repro.errors.WorkerCrashError`.  Queries never hang on a dead
   worker.
 
-* **Determinism.**  Workers run the identical solver call the
-  sequential engine runs (``seed = base_seed + source``, serial walks),
+* **Determinism.**  Workers run the identical registry solve the
+  threaded engine runs (``seed = base_seed + source``, serial walks),
   so results are byte-identical to a single-process loop for a fixed
   seed -- the serving layer's standing contract, asserted by
-  ``tests/test_serving_multiproc.py``.
+  ``tests/test_serving_multiproc.py`` and ``tests/test_serving_oracle.py``.
 
 Deadlines propagate as absolute ``time.monotonic()`` timestamps.  On
 every platform CPython supports, the monotonic clock is system-wide
@@ -76,14 +76,16 @@ from repro.serving.engine import ConcurrentQueryEngine
 PROCESS_META_KEY = "process"
 
 
-def _solve_task(handle, source, accuracy, seed, trace_enabled, deadline,
-                epoch, solver_name="resacc"):
+def _solve_task(handle, entry, source, accuracy, seed, trace_enabled,
+                deadline, epoch):
     """One solver invocation; runs inside a pool worker process.
 
-    Returns the :class:`repro.core.result.SSRWRResult` (pickled back to
-    the dispatcher) with its trace -- when enabled -- tagged with the
-    worker process name and pid.  The computation is the exact call the
-    sequential engine makes: same solver, same per-source seed, serial
+    ``entry`` is the engine's :class:`repro.core.solvers.SolverEntry`
+    (pickled by reference).  Returns the
+    :class:`repro.core.result.SSRWRResult` (pickled back to the
+    dispatcher) with its trace -- when enabled -- tagged with the worker
+    process name and pid.  The computation is the exact call the
+    threaded engine makes: same entry, same per-source seed, serial
     walks, so the estimate vector is a pure function of
     ``(graph, source, accuracy, seed)`` (PowerPush is deterministic and
     ignores the seed entirely).
@@ -104,24 +106,16 @@ def _solve_task(handle, source, accuracy, seed, trace_enabled, deadline,
         # boundaries and raises DeadlineExceededError, which pickles
         # back across the pool and frees the dispatcher thread.
         trace = DeadlineTrace(deadline, inner)
-    accuracy = accuracy or AccuracyParams.paper_defaults(graph.n)
-    if solver_name == "powerpush":
-        from repro.core.powerpush import powerpush
-
-        result = powerpush(graph, source, accuracy=accuracy, trace=trace)
-    else:
-        from repro.core.resacc import resacc
-
-        result = resacc(graph, source, accuracy=accuracy, seed=seed,
-                        trace=trace)
+    result = entry.solve(graph, source, accuracy=accuracy, seed=seed,
+                         trace=trace)
     # The result must never carry the one-shot deadline proxy home.
     result.trace = inner
     return result
 
 
-def _solve_block_task(handle, sources, accuracy, trace_enabled, deadline,
-                      epoch):
-    """One blocked PowerPush solve; runs inside a pool worker process.
+def _solve_block_task(handle, entry, sources, accuracy, trace_enabled,
+                      deadline, epoch):
+    """One blocked ``entry.solve_batch``; runs inside a pool worker process.
 
     The cold sources of one ``query_batch`` share each global sweep as
     an ``(n, B)`` blocked transpose-SpMV over the shared-memory graph.
@@ -129,7 +123,6 @@ def _solve_block_task(handle, sources, accuracy, trace_enabled, deadline,
     :class:`repro.core.result.SSRWRResult` list in input order plus the
     batch-level trace (or None), both pickled back to the dispatcher.
     """
-    from repro.core.powerpush import powerpush_batch
     from repro.obs.trace import DeadlineTrace, QueryTrace
     from repro.walks.parallel import attach_csr_graph
 
@@ -142,11 +135,8 @@ def _solve_block_task(handle, sources, accuracy, trace_enabled, deadline,
     trace = inner
     if deadline is not None:
         trace = DeadlineTrace(deadline, inner)
-    results = powerpush_batch(
-        graph, sources,
-        accuracy=accuracy or AccuracyParams.paper_defaults(graph.n),
-        trace=trace,
-    )
+    results = entry.solve_batch(graph, sources, accuracy=accuracy,
+                                trace=trace)
     return results, inner
 
 
@@ -159,7 +149,7 @@ def _topk_task(handle, source, k, accuracy, seed, mode, trace_enabled,
     so a fallback costs no extra dispatcher round-trip.  Same purity
     contract as :func:`_solve_task`: serial walks, per-source seed, so
     the pickled :class:`repro.core.TopKAnswer` is byte-identical to what
-    the sequential engines produce.
+    the in-process engines produce.
     """
     from repro.core.topk_solver import answer_top_k
     from repro.obs.trace import DeadlineTrace, QueryTrace
@@ -209,10 +199,10 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
     solver:
         Solver name (``"auto"`` / ``"resacc"`` / ``"powerpush"``) or
         ``None`` to resolve via ``REPRO_SOLVER``.  Custom callables are
-        rejected -- they cannot cross the process boundary.  With
-        ``"powerpush"`` the cold misses of a ``query_batch`` are solved
-        as one blocked sweep in a single pool worker
-        (:func:`_solve_block_task`).
+        rejected -- they cannot cross the process boundary.  With a
+        blocked-batch entry (``"powerpush"``) the cold misses of a
+        ``query_batch`` are solved as one blocked sweep in a single pool
+        worker (:func:`_solve_block_task`).
     solver_workers:
         Width of the solver process pool.
     dispatch_workers:
@@ -407,22 +397,22 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
         # byte-identical either way.
         solve_accuracy = self._solve_accuracy_for(graph, accuracy)
         result = self._run_in_pool(
-            graph, source, deadline, _solve_task, source, solve_accuracy,
-            self._seed + source, self._trace_enabled, deadline, epoch,
-            self._solver_name,
+            graph, source, deadline, _solve_task, self._solver, source,
+            solve_accuracy, self._seed + source, self._trace_enabled,
+            deadline, epoch,
         )
         self._record_solver_run(result.trace, time.perf_counter() - tic)
         return result
 
     def _compute_block(self, graph, sources, accuracy, epoch,
                        deadline=None):
-        # The blocked cold-miss solve of a PowerPush query_batch runs in
-        # a single pool worker against the shared-memory graph; only the
-        # source list and the result vectors cross the process boundary.
+        # The blocked cold-miss solve of a query_batch runs in a single
+        # pool worker against the shared-memory graph; only the source
+        # list and the result vectors cross the process boundary.
         tic = time.perf_counter()
         solve_accuracy = self._solve_accuracy_for(graph, accuracy)
         results, trace = self._run_in_pool(
-            graph, list(sources), deadline, _solve_block_task,
+            graph, list(sources), deadline, _solve_block_task, self._solver,
             list(sources), solve_accuracy, self._trace_enabled, deadline,
             epoch,
         )
