@@ -24,7 +24,7 @@ from repro.push.forward import forward_push_loop, init_state
 
 def fora(graph, source, *, accuracy=None, alpha=0.2, r_max=None,
          rng=None, seed=0, walk_scale=1.0, method="frontier",
-         push_backend=None, max_seconds=None):
+         max_seconds=None):
     """Answer an approximate SSRWR query with FORA.
 
     ``max_seconds`` implements the paper's Fig. 6(a) protocol: the walk
@@ -43,7 +43,7 @@ def fora(graph, source, *, accuracy=None, alpha=0.2, r_max=None,
     tic = time.perf_counter()
     stats = forward_push_loop(
         graph, reserve, residue, alpha, r_max,
-        source=source, method=method, backend=push_backend,
+        source=source, method=method,
     )
     t_push = time.perf_counter() - tic
 

@@ -74,7 +74,7 @@ class ForaPlusIndex:
         """Memory footprint of the stored index arrays."""
         return int(self._endpoints.nbytes + self._endpoint_indptr.nbytes)
 
-    def query(self, source, *, method="frontier", push_backend=None):
+    def query(self, source, *, method="frontier"):
         """Answer an SSRWR query using the index instead of fresh walks."""
         graph = self.graph
         if not 0 <= source < graph.n:
@@ -85,7 +85,7 @@ class ForaPlusIndex:
         tic = time.perf_counter()
         stats = forward_push_loop(
             graph, reserve, residue, self.alpha, self.r_max,
-            source=source, method=method, backend=push_backend,
+            source=source, method=method,
         )
         t_push = time.perf_counter() - tic
 

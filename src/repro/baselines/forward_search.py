@@ -17,7 +17,7 @@ from repro.push.forward import forward_push_loop, init_state
 
 
 def forward_search(graph, source, *, alpha=0.2, r_max=1e-8,
-                   method="frontier", push_backend=None, max_pushes=None):
+                   method="frontier", max_pushes=None):
     """Run Forward Search; returns reserves as the estimate.
 
     The paper's experiments use ``r_max = 1e-12`` on the real graphs;
@@ -30,7 +30,6 @@ def forward_search(graph, source, *, alpha=0.2, r_max=1e-8,
     stats = forward_push_loop(
         graph, reserve, residue, alpha, r_max,
         source=source, method=method, max_pushes=max_pushes,
-        backend=push_backend,
     )
     elapsed = time.perf_counter() - tic
     return SSRWRResult(

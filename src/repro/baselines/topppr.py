@@ -29,7 +29,7 @@ from repro.push.forward import forward_push_loop, init_state
 
 def topppr(graph, source, k, *, alpha=0.2, accuracy=None, r_max=None,
            r_max_b=1e-3, rho=1.2, rng=None, seed=0, walk_scale=0.25,
-           max_candidates=512, method="frontier", push_backend=None):
+           max_candidates=512, method="frontier"):
     """Top-K-oriented SSRWR estimate.
 
     Parameters
@@ -59,7 +59,6 @@ def topppr(graph, source, k, *, alpha=0.2, accuracy=None, r_max=None,
     tic = time.perf_counter()
     fwd_stats = forward_push_loop(
         graph, reserve, residue, alpha, r_max, source=source, method=method,
-        backend=push_backend,
     )
     t_push = time.perf_counter() - tic
 

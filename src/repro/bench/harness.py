@@ -329,7 +329,7 @@ PUSH_BENCH_KIND = "repro-push-bench"
 
 
 def push_benchmark(graph, *, num_sources=8, h=1, alpha=0.2, seed=0,
-                   repeats=3, backend="numpy"):
+                   repeats=3):
     """Push-kernel benchmark: output-sensitive kernels vs. the seed loop.
 
     Reconstructs the two push phases of a real ResAcc query -- h-HopFWD
@@ -341,10 +341,8 @@ def push_benchmark(graph, *, num_sources=8, h=1, alpha=0.2, seed=0,
     * ``seed`` -- :func:`repro.push.kernels.dense_reference_loop`, the
       pre-kernel frontier scheduler (dense eligibility scan +
       ``bincount(minlength=n)`` scatter per round);
-    * ``kernel`` -- :func:`repro.push.forward.forward_push_loop` with
-      the requested ``backend`` (``numpy`` by default -- the CI gate
-      excludes numba so the speedup is attributable to the
-      output-sensitive loop alone).
+    * ``kernel`` -- :func:`repro.push.forward.forward_push_loop`, i.e.
+      the output-sensitive :func:`repro.push.kernels.frontier_loop`.
 
     Per-phase and end-to-end speedups use the best (minimum) total over
     the repeats -- the standard estimator for a deterministic CPU-bound
@@ -410,16 +408,15 @@ def push_benchmark(graph, *, num_sources=8, h=1, alpha=0.2, seed=0,
     def kernel_hhop(reserve, residue, can_push, source):
         stats = forward_push_loop(graph, reserve, residue, alpha, r_max_hop,
                                   can_push=can_push, source=source,
-                                  method="frontier", backend=backend)
+                                  method="frontier")
         kernel_stats.merge(stats)
 
     def kernel_omfwd(reserve, residue, source):
         stats = forward_push_loop(graph, reserve, residue, alpha, r_max_f,
-                                  source=source, method="frontier",
-                                  backend=backend)
+                                  source=source, method="frontier")
         kernel_stats.merge(stats)
 
-    # Warm-up (JIT compilation for numba, transpose build for numpy).
+    # Warm-up (transpose build, threshold cache).
     run_phases(kernel_hhop, kernel_omfwd)
 
     seed_runs, kernel_runs = [], []
@@ -460,7 +457,6 @@ def push_benchmark(graph, *, num_sources=8, h=1, alpha=0.2, seed=0,
         "r_max_f": r_max_f,
         "sources": sources,
         "repeats": int(repeats),
-        "backend": backend,
         "seed_seconds": {
             "hhop": best_total(seed_runs, "hhop"),
             "omfwd": best_total(seed_runs, "omfwd"),

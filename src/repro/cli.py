@@ -147,10 +147,6 @@ def build_parser():
     push_cmd.add_argument("--scale", type=float, default=1.0,
                           help="dataset scale factor")
     push_cmd.add_argument("--seed", type=int, default=0)
-    push_cmd.add_argument("--backend", default="numpy",
-                          choices=["numpy", "numba", "auto"],
-                          help="frontier kernel backend to measure "
-                               "(default numpy, the reference)")
     push_cmd.add_argument("--json", metavar="PATH", default=None,
                           help="write the benchmark document "
                                "(e.g. BENCH_push.json)")
@@ -580,13 +576,13 @@ def _run_push_bench(args):
         h = args.h if args.h is not None else catalog.bench_h(args.dataset)
         doc = push_benchmark(
             graph, num_sources=args.sources, h=h, seed=args.seed,
-            repeats=args.repeats, backend=args.backend,
+            repeats=args.repeats,
         )
     except ParameterError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(f"{args.dataset} (n={graph.n}, m={graph.m})  h={doc['h']}, "
-          f"{len(doc['sources'])} sources, backend={doc['backend']}")
+          f"{len(doc['sources'])} sources")
     for phase in ("hhop", "omfwd"):
         print(f"  {phase:<6} seed {doc['seed_seconds'][phase]:8.4f} s   "
               f"kernel {doc['kernel_seconds'][phase]:8.4f} s   "

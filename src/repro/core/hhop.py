@@ -74,18 +74,15 @@ class HHopOutcome:
 
 
 def h_hop_forward(graph, source, alpha, r_max_hop, h, reserve, residue, *,
-                  method="frontier", max_pushes=None, backend=None,
-                  trace=None):
+                  method="frontier", max_pushes=None, trace=None):
     """Run h-HopFWD in place on ``(reserve, residue)``.
 
     ``reserve`` and ``residue`` must be the freshly initialized state
     (:func:`repro.push.init_state`); they are updated to the post-phase
     values for every node in ``V_h(s)`` plus residues on ``L_{h+1}(s)``.
 
-    ``backend`` selects the frontier push kernel (see
-    :func:`repro.push.kernels.resolve_backend`).  ``trace`` is an
-    optional :class:`repro.obs.QueryTrace`; push counters and subgraph
-    sizes are flushed into it at phase boundaries.
+    ``trace`` is an optional :class:`repro.obs.QueryTrace`; push counters
+    and subgraph sizes are flushed into it at phase boundaries.
 
     Returns an :class:`HHopOutcome`.
     """
@@ -100,7 +97,7 @@ def h_hop_forward(graph, source, alpha, r_max_hop, h, reserve, residue, *,
     loop_stats = forward_push_loop(
         graph, reserve, residue, alpha, r_max_hop,
         can_push=can_push, source=source, method=method,
-        max_pushes=max_pushes, backend=backend, trace=trace,
+        max_pushes=max_pushes, trace=trace,
     )
     stats.merge(loop_stats)
     # Lines 8-18: the closed-form updating phase.

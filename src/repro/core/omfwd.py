@@ -20,8 +20,7 @@ from repro.push.forward import forward_push_loop, push_thresholds
 
 
 def omfwd(graph, reserve, residue, alpha, r_max_f, *, boundary_nodes=None,
-          source=None, method="frontier", max_pushes=None, backend=None,
-          trace=None):
+          source=None, method="frontier", max_pushes=None, trace=None):
     """Run OMFWD in place on ``(reserve, residue)``.
 
     ``boundary_nodes`` is the ``L_{h+1}`` layer; with the queue scheduler
@@ -30,9 +29,8 @@ def omfwd(graph, reserve, residue, alpha, r_max_f, *, boundary_nodes=None,
     possible after the updating phase rescaled the subgraph -- is enqueued
     after them, so the pass always terminates with no eligible node left.
 
-    ``backend`` selects the frontier push kernel.  ``trace`` is an
-    optional :class:`repro.obs.QueryTrace`; the push loop flushes its
-    counters into it once, on return.
+    ``trace`` is an optional :class:`repro.obs.QueryTrace`; the push loop
+    flushes its counters into it once, on return.
 
     Returns :class:`repro.push.PushStats`.
     """
@@ -44,7 +42,7 @@ def omfwd(graph, reserve, residue, alpha, r_max_f, *, boundary_nodes=None,
     return forward_push_loop(
         graph, reserve, residue, alpha, r_max_f,
         source=source, seeds=seeds, method=method, max_pushes=max_pushes,
-        backend=backend, trace=trace,
+        trace=trace,
     )
 
 

@@ -39,8 +39,7 @@ blocked arithmetic is bitwise independent of the block width, so
 ``powerpush_batch`` is **byte-identical** to a :func:`powerpush` loop
 (the test suite asserts it; the bench gates it at 1e-12 like PR 4).
 
-Solver selection mirrors ``REPRO_PUSH_BACKEND``: the ``REPRO_SOLVER``
-environment variable (or an explicit ``solver=`` kwarg on the engines)
+Solver selection: the ``REPRO_SOLVER`` environment variable (or an explicit ``solver=`` kwarg on the engines)
 picks ``auto`` / ``resacc`` / ``powerpush`` from the registry in
 :mod:`repro.core.solvers`, with ``auto`` resolving to ``resacc`` -- the
 paper's algorithm stays the default.

@@ -16,7 +16,9 @@ solver supports instead of comparing solver names:
 * ``retention_safe`` lets an incremental engine keep cached answers
   across single-edge mutations (the offset bound of
   :mod:`repro.serving.retention` was derived against ResAcc's contract)
-  and solve misses at ``solve_margin * eps`` to create that slack.
+  and solve misses at ``solve_margin * eps`` to create that slack;
+* ``runs_walks`` tells an engine with ``walk_workers > 1`` to build the
+  shared walk pool for the solver; entries without it never see one.
 
 The named entries are ``resacc`` (the paper's algorithm, and what
 ``auto`` resolves to) and ``powerpush``.  A custom callable becomes an
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 
 from repro.errors import ParameterError
 
-#: Environment variable selecting the solver (``REPRO_PUSH_BACKEND``
-#: analogue at the solver level).
+#: Environment variable selecting the solver when none is passed.
 SOLVER_ENV = "REPRO_SOLVER"
 
 
@@ -48,6 +49,7 @@ class SolverEntry:
     solve_batch: Callable | None = None
     topk_fast_path: bool = False
     retention_safe: bool = False
+    runs_walks: bool = False
 
     @property
     def blocked_batch(self):
@@ -79,7 +81,8 @@ def _powerpush_batch(graph, sources, *, accuracy=None, trace=None):
 
 #: The named entries, by resolved name.
 ENTRIES = {
-    "resacc": SolverEntry(_resacc, topk_fast_path=True, retention_safe=True),
+    "resacc": SolverEntry(_resacc, topk_fast_path=True, retention_safe=True,
+                          runs_walks=True),
     "powerpush": SolverEntry(_powerpush, solve_batch=_powerpush_batch),
 }
 

@@ -2,19 +2,17 @@
 
 from repro.push.backward import backward_push
 from repro.push.forward import (
-    PushStats,
     forward_push_loop,
     init_state,
     push_thresholds,
     single_push,
 )
 from repro.push.kernels import (
+    PushStats,
     SnapshotPushCache,
     dense_reference_loop,
     get_push_cache,
-    numba_available,
     release_push_cache,
-    resolve_backend,
 )
 
 __all__ = [
@@ -25,9 +23,7 @@ __all__ = [
     "forward_push_loop",
     "get_push_cache",
     "init_state",
-    "numba_available",
     "push_thresholds",
     "release_push_cache",
-    "resolve_backend",
     "single_push",
 ]

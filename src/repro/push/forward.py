@@ -12,9 +12,8 @@ Three scheduling strategies are provided:
 
 * ``"queue"`` -- the paper's FIFO formulation (Algorithms 1 and 4);
 * ``"frontier"`` -- all currently-eligible nodes push simultaneously in one
-  vectorized round (a Jacobi-style sweep), dispatched to the
-  output-sensitive kernels in :mod:`repro.push.kernels` (numpy reference
-  or the optional numba backend, selected by ``REPRO_PUSH_BACKEND``);
+  vectorized round (a Jacobi-style sweep), run by the output-sensitive
+  kernel :func:`repro.push.kernels.frontier_loop`;
 * ``"priority"`` -- Gauss-Southwell largest-ratio-first.
 
 All three terminate at a state where no node satisfies the push
@@ -40,39 +39,12 @@ residue to reserve (the walk dies there), ``"restart"`` returns
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ParameterError
 from repro.push import kernels
-
-
-@dataclass
-class PushStats:
-    """Work counters for a push run.
-
-    ``max_frontier`` is the largest number of nodes pushed in one round
-    (only the frontier scheduler has rounds wider than one node).
-    ``sparse_rounds`` / ``dense_rounds`` count how often the frontier
-    kernel ran a candidate-tracked round versus a densely-scanned or
-    matvec round (single-node schedulers count every push as sparse).
-    """
-
-    pushes: int = 0
-    rounds: int = 0
-    max_frontier: int = 0
-    sparse_rounds: int = 0
-    dense_rounds: int = 0
-
-    def merge(self, other):
-        """Accumulate another run's counters into this one."""
-        self.pushes += other.pushes
-        self.rounds += other.rounds
-        self.max_frontier = max(self.max_frontier, other.max_frontier)
-        self.sparse_rounds += other.sparse_rounds
-        self.dense_rounds += other.dense_rounds
-        return self
+from repro.push.kernels import PushStats
 
 
 def push_thresholds(graph, r_max):
@@ -116,8 +88,7 @@ def single_push(graph, node, reserve, residue, alpha, *, source=None):
 
 def forward_push_loop(graph, reserve, residue, alpha, r_max, *,
                       can_push=None, source=None, seeds=None,
-                      method="frontier", max_pushes=None,
-                      backend=None, trace=None):
+                      method="frontier", max_pushes=None, trace=None):
     """Push until no eligible node satisfies the push condition.
 
     Parameters
@@ -142,10 +113,6 @@ def forward_push_loop(graph, reserve, residue, alpha, r_max, *,
         Safety budget; exceeding it raises :class:`ConvergenceError` at a
         round/push boundary (see the module docstring for the state
         contract).
-    backend:
-        Frontier-kernel backend: ``"numpy"``, ``"numba"``, ``"auto"``, or
-        ``None`` to consult ``REPRO_PUSH_BACKEND`` (default ``auto``).
-        Ignored by the queue/priority schedulers.
     trace:
         Optional :class:`repro.obs.QueryTrace`; the run's counters are
         flushed into it once, after the loop terminates (never from
@@ -155,10 +122,9 @@ def forward_push_loop(graph, reserve, residue, alpha, r_max, *,
     """
     _check_common(graph, alpha, r_max, source)
     if method == "frontier":
-        loop = kernels.FRONTIER_BACKENDS[kernels.resolve_backend(backend)]
-        stats = loop(graph, reserve, residue, alpha, r_max,
-                     can_push=can_push, source=source,
-                     max_pushes=max_pushes)
+        stats = kernels.frontier_loop(graph, reserve, residue, alpha, r_max,
+                                      can_push=can_push, source=source,
+                                      max_pushes=max_pushes)
     elif method == "queue":
         stats = _queue_loop(graph, reserve, residue, alpha, r_max,
                             can_push, source, seeds, max_pushes)

@@ -41,45 +41,26 @@ Per-snapshot state (thresholds, the transpose operator, scratch
 buffers) lives in a :class:`SnapshotPushCache` hung off the graph
 object and explicitly released by the serving engines inside their
 write gates, mirroring the PR 3 walk pools.
-
-Backends
---------
-``REPRO_PUSH_BACKEND`` selects the frontier implementation:
-
-* ``numpy`` -- the vectorized loop above; the reference implementation.
-* ``numba`` -- a fused JIT loop over the same Jacobi rounds
-  (:mod:`repro.push._numba_backend`); requires numba.
-* ``auto`` (default) -- ``numba`` when importable, else ``numpy``.
-
-Both backends make identical push decisions round for round, so their
-fixpoints differ only by floating-point summation order; the test suite
-gates them at 1e-12 with exact unit-mass preservation.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ConvergenceError
 
-try:  # pragma: no cover - exercised only when scipy lacks the private API
+try:
     from scipy.sparse import _sparsetools as _scipy_sparsetools
 
     _csr_matvec = _scipy_sparsetools.csr_matvec
     _csr_matvecs = _scipy_sparsetools.csr_matvecs
-except Exception:  # pragma: no cover
+except Exception:  # pragma: no cover - scipy builds without the private API
     _csr_matvec = None
     _csr_matvecs = None
-
-#: Environment variable selecting the frontier backend.
-BACKEND_ENV = "REPRO_PUSH_BACKEND"
-
-#: Recognized backend names (``auto`` resolves at call time).
-BACKENDS = ("auto", "numpy", "numba")
 
 #: A round is *sparse* (candidate-tracked, sort-deduped) when its
 #: frontier edge count is below ``n / SPARSE_NODE_DIV``.
@@ -99,60 +80,32 @@ _BLOCK_POOL_SIZE = 6
 
 _attach_lock = threading.Lock()
 
-# The numba probe is resolved once per process, under a lock.  A failed
-# import is not cached by Python, so probing on every call would re-run
-# the import -- and concurrent probing threads can observe each other's
-# partially-initialized module, briefly making numba look importable on
-# a machine without it (a real race: the concurrent-serving tests
-# caught ``auto`` resolving to numba and then crashing on dispatch).
-_numba_lock = threading.Lock()
-_numba_module = None
-_numba_checked = False
 
+@dataclass
+class PushStats:
+    """Work counters for a push run.
 
-def _numba_backend_module():
-    """The imported numba backend module, or ``None`` (cached probe)."""
-    global _numba_module, _numba_checked
-    if not _numba_checked:
-        with _numba_lock:
-            if not _numba_checked:
-                try:
-                    from repro.push import _numba_backend as mod
-                except Exception:
-                    mod = None
-                _numba_module = mod
-                _numba_checked = True  # after the module slot is set
-    return _numba_module
-
-
-def numba_available():
-    """Whether the optional numba backend can be imported."""
-    return _numba_backend_module() is not None
-
-
-def resolve_backend(backend=None):
-    """Resolve a backend request to ``"numpy"`` or ``"numba"``.
-
-    ``backend=None`` consults :data:`BACKEND_ENV` (default ``auto``).
-    ``auto`` prefers numba when it is importable and falls back to
-    numpy; asking for ``numba`` explicitly when it is absent raises
-    :class:`~repro.errors.ParameterError`.
+    ``max_frontier`` is the largest number of nodes pushed in one round
+    (only the frontier scheduler has rounds wider than one node).
+    ``sparse_rounds`` / ``dense_rounds`` count how often the frontier
+    kernel ran a candidate-tracked round versus a densely-scanned or
+    matvec round (single-node schedulers count every push as sparse).
     """
-    name = backend if backend is not None \
-        else os.environ.get(BACKEND_ENV, "auto")
-    name = str(name).strip().lower() or "auto"
-    if name not in BACKENDS:
-        raise ParameterError(
-            f"unknown push backend {name!r}; expected one of {BACKENDS}"
-        )
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    if name == "numba" and not numba_available():
-        raise ParameterError(
-            "push backend 'numba' requested but numba is not installed; "
-            f"install numba or set {BACKEND_ENV}=numpy"
-        )
-    return name
+
+    pushes: int = 0
+    rounds: int = 0
+    max_frontier: int = 0
+    sparse_rounds: int = 0
+    dense_rounds: int = 0
+
+    def merge(self, other):
+        """Accumulate another run's counters into this one."""
+        self.pushes += other.pushes
+        self.rounds += other.rounds
+        self.max_frontier = max(self.max_frontier, other.max_frontier)
+        self.sparse_rounds += other.sparse_rounds
+        self.dense_rounds += other.dense_rounds
+        return self
 
 
 class SnapshotPushCache:
@@ -363,15 +316,37 @@ def _frontier_positions(indptr, nodes, counts, total):
     return np.cumsum(steps)
 
 
-def frontier_loop_numpy(graph, reserve, residue, alpha, r_max, *,
-                        can_push=None, source=None, max_pushes=None,
-                        stats=None, cache=None):
-    """Output-sensitive frontier (Jacobi) push loop, numpy backend.
+def _accumulate_matvec(operator, x, out):
+    """``out += A @ x`` for CSR arrays ``operator = (indptr, indices, data)``.
+
+    ``x`` is a vector or a C-order ``(n, B)`` block.  scipy's private CSR
+    kernels accumulate straight into ``out`` row by row; builds without
+    ``_sparsetools`` fall back to the public ``csr_matrix`` product.
+    """
+    indptr, indices, data = operator
+    n = indptr.shape[0] - 1
+    if x.ndim == 1:
+        if _csr_matvec is not None:
+            _csr_matvec(n, n, indptr, indices, data, x, out)
+            return
+    elif _csr_matvecs is not None:
+        _csr_matvecs(n, n, x.shape[1], indptr, indices, data,
+                     x.reshape(-1), out.reshape(-1))
+        return
+    from scipy.sparse import csr_matrix
+
+    out += csr_matrix((data, indices, indptr), shape=(n, n)) @ x
+
+
+def frontier_loop(graph, reserve, residue, alpha, r_max, *,
+                  can_push=None, source=None, max_pushes=None,
+                  stats=None, cache=None):
+    """Output-sensitive frontier (Jacobi) push loop.
 
     Semantics match the seed frontier scheduler exactly: every round
     pushes all currently-eligible nodes simultaneously, so the final
     ``(reserve, residue)`` is the same fixpoint up to floating-point
-    summation order.  ``stats`` (a :class:`~repro.push.forward.PushStats`)
+    summation order.  ``stats`` (a :class:`PushStats`)
     additionally receives ``sparse_rounds`` / ``dense_rounds`` counts.
 
     A :class:`~repro.errors.ConvergenceError` from ``max_pushes`` is
@@ -379,8 +354,6 @@ def frontier_loop_numpy(graph, reserve, residue, alpha, r_max, *,
     the current round not at all, so the state still satisfies the push
     invariant and ``sum(reserve) + sum(residue) == 1``.
     """
-    from repro.push.forward import PushStats
-
     if stats is None:
         stats = PushStats()
     if cache is None:
@@ -462,17 +435,7 @@ def frontier_loop_numpy(graph, reserve, residue, alpha, r_max, *,
                                 reserve += spread_scale * dang_pushed
                     np.multiply(share, inv_deg, out=share)
                     share_dense = True
-                    at_indptr, at_indices, at_data = at_arrays
-                    if _csr_matvec is not None:
-                        _csr_matvec(n, n, at_indptr, at_indices,
-                                    at_data, share, residue)
-                    else:  # pragma: no cover - scipy w/o private API
-                        from scipy.sparse import csr_matrix
-
-                        mat = csr_matrix(
-                            (at_data, at_indices, at_indptr),
-                            shape=(n, n))
-                        residue += mat @ share
+                    _accumulate_matvec(at_arrays, share, residue)
                     prev_active = None
                     continue
                 active = np.flatnonzero(eligible)
@@ -546,16 +509,7 @@ def frontier_loop_numpy(graph, reserve, residue, alpha, r_max, *,
                     share_dense = False
                 share[spread_nodes] = \
                     spread_scale * spread_mass / sp_counts
-                at_indptr, at_indices, at_data = at_arrays
-                if _csr_matvec is not None:
-                    _csr_matvec(n, n, at_indptr, at_indices, at_data,
-                                share, residue)
-                else:  # pragma: no cover - scipy without the private API
-                    from scipy.sparse import csr_matrix
-
-                    mat = csr_matrix((at_data, at_indices, at_indptr),
-                                     shape=(n, n))
-                    residue += mat @ share
+                _accumulate_matvec(at_arrays, share, residue)
                 share[spread_nodes] = 0.0
                 cand = None
                 prev_active = None
@@ -608,57 +562,6 @@ def frontier_loop_numpy(graph, reserve, residue, alpha, r_max, *,
             cache.release_share(share)
 
 
-def frontier_loop_numba(graph, reserve, residue, alpha, r_max, *,
-                        can_push=None, source=None, max_pushes=None,
-                        stats=None, cache=None):
-    """Fused-JIT frontier loop (numba backend).
-
-    Runs the same Jacobi rounds as :func:`frontier_loop_numpy` -- each
-    round snapshots the eligible residues before scattering -- so both
-    backends make identical push decisions and agree on all counters.
-    """
-    from repro.push.forward import PushStats
-
-    _numba_backend = _numba_backend_module()
-    if _numba_backend is None:
-        raise ParameterError(
-            "push backend 'numba' requested but numba is not installed; "
-            f"install numba or set {BACKEND_ENV}=numpy"
-        )
-    if stats is None:
-        stats = PushStats()
-    if cache is None:
-        cache = get_push_cache(graph)
-    thresholds = cache.thresholds(r_max)
-    cand = np.flatnonzero(residue)
-    if can_push is not None:
-        cand = cand[can_push[cand]]
-    mask = can_push if can_push is not None \
-        else np.empty(0, dtype=bool)
-    n = graph.n
-    sparse_cut = max(n // SPARSE_NODE_DIV, 64)
-    budget = -1 if max_pushes is None else int(max_pushes)
-    (status, pushes, rounds, max_frontier,
-     sparse_rounds, dense_rounds) = _numba_backend.frontier_loop(
-        graph.indptr, graph.indices, graph.out_degrees, thresholds,
-        reserve, residue, float(alpha),
-        can_push is not None, mask,
-        graph.dangling == "restart",
-        -1 if source is None else int(source),
-        budget, cand.astype(np.int64), sparse_cut,
-    )
-    stats.pushes += int(pushes)
-    stats.rounds += int(rounds)
-    stats.max_frontier = max(stats.max_frontier, int(max_frontier))
-    stats.sparse_rounds += int(sparse_rounds)
-    stats.dense_rounds += int(dense_rounds)
-    if status != 0:
-        raise ConvergenceError(
-            f"forward push exceeded budget of {max_pushes} pushes"
-        )
-    return stats
-
-
 def dense_reference_loop(graph, reserve, residue, alpha, r_max, *,
                          can_push=None, source=None, max_pushes=None,
                          stats=None):
@@ -669,7 +572,6 @@ def dense_reference_loop(graph, reserve, residue, alpha, r_max, *,
     measures the output-sensitive kernels against this loop.
     """
     from repro.graph.hop import expand_ranges
-    from repro.push.forward import PushStats
 
     if stats is None:
         stats = PushStats()
@@ -779,14 +681,13 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
 
     if cache is None:
         cache = get_push_cache(graph)
-    n = graph.n
     num = len(residues)
     degrees = graph.out_degrees
     alpha = float(alpha)
     spread_scale = 1.0 - alpha
     dang_idx = np.flatnonzero(degrees == 0)
     restart = graph.dangling == "restart"
-    at_indptr, at_indices, at_data = cache.power_operator(alpha)
+    operator = cache.power_operator(alpha)
     tol = float(tol)
 
     r_sums = np.empty(num, dtype=np.float64)
@@ -854,15 +755,7 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
                     dsum = float(rr[dang_idx, j].sum())
                     if dsum != 0.0:
                         nn[col_src[j], j] += spread_scale * dsum
-            if _csr_matvecs is not None:
-                _csr_matvecs(n, n, width, at_indptr, at_indices, at_data,
-                             rr.reshape(-1), nn.reshape(-1))
-            else:  # pragma: no cover - scipy without the private API
-                from scipy.sparse import csr_matrix
-
-                mat = csr_matrix((at_data, at_indices, at_indptr),
-                                 shape=(n, n))
-                nn += mat @ rr
+            _accumulate_matvec(operator, rr, nn)
             rr, nn = nn, rr
             for j in range(width):
                 c = cols[j]
@@ -901,9 +794,3 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
             cache.release_block(buf)
     return r_sums, sweeps
 
-
-#: Dispatch table used by :func:`repro.push.forward.forward_push_loop`.
-FRONTIER_BACKENDS = {
-    "numpy": frontier_loop_numpy,
-    "numba": frontier_loop_numba,
-}

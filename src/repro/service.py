@@ -43,10 +43,9 @@ class QueryEngine(ConcurrentQueryEngine):
         do not affect the caller's object).
     solver:
         Either a solver name (``"auto"`` / ``"resacc"`` /
-        ``"powerpush"``, resolved like ``REPRO_PUSH_BACKEND`` via the
-        ``REPRO_SOLVER`` environment variable when omitted; ``auto``
-        means ResAcc at the paper's accuracy) or a custom callable
-        ``(graph, source) -> SSRWRResult``.
+        ``"powerpush"``, resolved via the ``REPRO_SOLVER`` environment
+        variable when omitted; ``auto`` means ResAcc at the paper's
+        accuracy) or a custom callable ``(graph, source) -> SSRWRResult``.
     cache_size:
         Maximum number of per-source results kept (LRU eviction).
     trace:

@@ -165,8 +165,8 @@ class ConcurrentQueryEngine:
         retired inside the write gate on mutation.  Per-source
         determinism is preserved: an answer is a pure function of
         ``(graph, source, accuracy, seed, walk_workers)``.  Only ResAcc
-        runs walks: PowerPush and custom solvers receive the pool and
-        ignore it.
+        runs walks, so PowerPush and custom-solver engines never build
+        the pool.
     trace_capacity:
         When set, only the most recent ``trace_capacity`` traces are
         retained (older ones are dropped FIFO).  An always-on server
@@ -264,11 +264,12 @@ class ConcurrentQueryEngine:
     def _walk_executor_for(self, graph):
         """The shared walk pool for the current snapshot (or ``None``).
 
-        Created lazily under its own lock; callers hold the read gate,
-        so the snapshot cannot change underneath the pool while it is
-        being created or used.
+        Created lazily under its own lock, and only for a solver entry
+        that ``runs_walks``; callers hold the read gate, so the snapshot
+        cannot change underneath the pool while it is being created or
+        used.
         """
-        if self._walk_workers <= 1:
+        if self._walk_workers <= 1 or not self._solver.runs_walks:
             return None
         with self._walk_lock:
             if self._walk_executor is None:

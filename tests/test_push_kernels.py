@@ -2,20 +2,21 @@
 
 Covers the PR's contracts:
 
-* every scheduler x backend x dangling-policy combination reaches a
+* every scheduler x dangling-policy combination reaches a
   valid fixpoint (no eligible node, unit mass preserved) on random
   graphs that include dangling nodes;
-* the numpy frontier kernel reproduces the seed reference loop's
-  fixpoint to 1e-12 (same Jacobi rounds, summation order aside);
+* the frontier kernel reproduces the seed reference loop's fixpoint to
+  1e-12 (same Jacobi rounds, summation order aside);
 * the sparse/dense round switch fires on a graph engineered to cross
   the density threshold;
 * ``max_pushes`` raises at a round boundary with the state still
   satisfying the invariant;
 * the per-snapshot cache (thresholds LRU, transpose, scratch leases)
   behaves and is retired by the serving engines' write gates;
-* backend selection (``REPRO_PUSH_BACKEND``) and numba equivalence
-  (the numba tests self-skip when numba is not installed; the CI
-  ``push-kernels`` matrix runs both legs).
+* the public ``csr_matrix`` fallback for scipy builds without the
+  private ``_sparsetools`` kernels makes the same push decisions and
+  reaches the same fixpoint (byte-equal on a preferential-attachment
+  graph, to 1e-12 with dangling nodes).
 """
 
 import math
@@ -23,35 +24,30 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ConvergenceError
 from repro.graph import from_edges, generators
 from repro.obs.trace import QueryTrace
 from repro.push import (
+    PushStats,
     dense_reference_loop,
     forward_push_loop,
     get_push_cache,
     init_state,
-    numba_available,
     push_thresholds,
     release_push_cache,
-    resolve_backend,
 )
-from repro.push.forward import PushStats
+from repro.push import kernels
 from repro.push.kernels import (
-    BACKEND_ENV,
-    FRONTIER_BACKENDS,
     SPARSE_NODE_DIV,
     _THRESHOLD_CACHE_SIZE,
+    frontier_loop,
 )
 
 ALPHA = 0.2
 
-needs_numba = pytest.mark.skipif(not numba_available(),
-                                 reason="numba not installed")
-
-#: numpy always; numba only when importable (CI runs a leg with it).
-BACKENDS = ["numpy",
-            pytest.param("numba", marks=needs_numba)]
+#: Adds a ``numpy`` segment to a test id, naming the numpy frontier
+#: kernel, so kernel-level test ids stay comparable across test reports.
+numpy_kernel = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
 
 def random_dangling_graph(seed, dangling):
@@ -101,28 +97,28 @@ def no_eligible(graph, residue, r_max, can_push=None):
 
 
 # ---------------------------------------------------------------------------
-# Property: every scheduler/backend/policy reaches a valid fixpoint
+# Property: every scheduler/policy reaches a valid fixpoint
 # ---------------------------------------------------------------------------
 class TestFixpointProperty:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @numpy_kernel
     @pytest.mark.parametrize("method", ["frontier", "queue", "priority"])
     @pytest.mark.parametrize("dangling", ["absorb", "restart"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_valid_fixpoint(self, method, backend, dangling, seed):
+    def test_valid_fixpoint(self, method, dangling, seed):
         graph = random_dangling_graph(seed, dangling)
         source = seed % graph.n
         reserve, residue = init_state(graph, source)
         r_max = 1e-5
         forward_push_loop(graph, reserve, residue, ALPHA, r_max,
-                          source=source, method=method, backend=backend)
+                          source=source, method=method)
         assert no_eligible(graph, residue, r_max)
         assert unit_mass_gap(reserve, residue) < 1e-12
         assert float(residue.min()) >= 0.0
         assert float(reserve.min()) >= 0.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @numpy_kernel
     @pytest.mark.parametrize("dangling", ["absorb", "restart"])
-    def test_valid_fixpoint_under_can_push_mask(self, backend, dangling):
+    def test_valid_fixpoint_under_can_push_mask(self, dangling):
         # The h-HopFWD shape: the source and a random slice are frozen.
         graph = random_dangling_graph(7, dangling)
         source = 3
@@ -132,19 +128,19 @@ class TestFixpointProperty:
         reserve, residue = init_state(graph, source)
         r_max = 1e-5
         forward_push_loop(graph, reserve, residue, ALPHA, r_max,
-                          source=source, can_push=can_push, backend=backend)
+                          source=source, can_push=can_push)
         assert no_eligible(graph, residue, r_max, can_push=can_push)
         assert unit_mass_gap(reserve, residue) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: output-sensitive kernels vs. the seed reference loop
+# Equivalence: output-sensitive kernel vs. the seed reference loop
 # ---------------------------------------------------------------------------
 class TestReferenceEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @numpy_kernel
     @pytest.mark.parametrize("dangling", ["absorb", "restart"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_seed_fixpoint(self, backend, dangling, seed):
+    def test_matches_seed_fixpoint(self, dangling, seed):
         graph = random_dangling_graph(seed, dangling)
         source = (seed * 5) % graph.n
         r_max = 1e-7
@@ -155,8 +151,8 @@ class TestReferenceEquivalence:
 
         r_new, i_new = init_state(graph, source)
         stats = PushStats()
-        FRONTIER_BACKENDS[backend](graph, r_new, i_new, ALPHA, r_max,
-                                   source=source, stats=stats)
+        frontier_loop(graph, r_new, i_new, ALPHA, r_max, source=source,
+                      stats=stats)
 
         # Same Jacobi rounds -> same fixpoint up to summation order.
         np.testing.assert_allclose(r_new, r_ref, rtol=0.0, atol=1e-12)
@@ -167,46 +163,19 @@ class TestReferenceEquivalence:
         assert stats.sparse_rounds + stats.dense_rounds == stats.rounds
         assert unit_mass_gap(r_new, i_new) < 1e-12
 
-    @needs_numba
-    @pytest.mark.parametrize("dangling", ["absorb", "restart"])
-    def test_numba_matches_numpy_exactly_on_counters(self, dangling):
-        graph = random_dangling_graph(11, dangling)
-        source = 0
-        r_max = 1e-8
-
-        states, stats = {}, {}
-        for backend in ("numpy", "numba"):
-            reserve, residue = init_state(graph, source)
-            st = PushStats()
-            FRONTIER_BACKENDS[backend](graph, reserve, residue, ALPHA,
-                                       r_max, source=source, stats=st)
-            states[backend] = (reserve, residue)
-            stats[backend] = st
-
-        np.testing.assert_allclose(states["numba"][0], states["numpy"][0],
-                                   rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(states["numba"][1], states["numpy"][1],
-                                   rtol=0.0, atol=1e-12)
-        # Identical push decisions round for round.
-        assert stats["numba"].pushes == stats["numpy"].pushes
-        assert stats["numba"].rounds == stats["numpy"].rounds
-        assert stats["numba"].sparse_rounds == stats["numpy"].sparse_rounds
-        assert stats["numba"].dense_rounds == stats["numpy"].dense_rounds
-        assert unit_mass_gap(*states["numba"]) < 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Regression: the sparse/dense round switch
 # ---------------------------------------------------------------------------
 class TestDensitySwitch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_round_regimes_cross_threshold(self, backend):
+    @numpy_kernel
+    def test_round_regimes_cross_threshold(self):
         graph = path_into_hub_graph()
         assert max(graph.n // SPARSE_NODE_DIV, 64) < 300  # hub crosses it
         reserve, residue = init_state(graph, 0)
         stats = PushStats()
-        FRONTIER_BACKENDS[backend](graph, reserve, residue, ALPHA, 1e-6,
-                                   source=0, stats=stats)
+        frontier_loop(graph, reserve, residue, ALPHA, 1e-6, source=0,
+                      stats=stats)
         # Path rounds classify sparse, hub/leaf rounds dense.
         assert stats.sparse_rounds > 0
         assert stats.dense_rounds > 0
@@ -224,7 +193,7 @@ class TestDensitySwitch:
         reserve, residue = init_state(graph, 0)
         trace = QueryTrace()
         forward_push_loop(graph, reserve, residue, ALPHA, 1e-6, source=0,
-                          backend="numpy", trace=trace)
+                          trace=trace)
         assert trace.counters["sparse_rounds"] > 0
         assert trace.counters["dense_rounds"] > 0
         assert (trace.counters["sparse_rounds"]
@@ -247,16 +216,15 @@ class TestBudgetContract:
         assert unit_mass_gap(reserve, residue) < 1e-12
         assert float(residue.min()) >= 0.0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_frontier_checks_before_applying_round(self, backend):
+    @numpy_kernel
+    def test_frontier_checks_before_applying_round(self):
         graph = generators.preferential_attachment(100, 3, seed=5)
         reserve, residue = init_state(graph, 0)
         budget = 30
         stats = PushStats()
         with pytest.raises(ConvergenceError):
-            FRONTIER_BACKENDS[backend](graph, reserve, residue, ALPHA,
-                                       1e-10, source=0, max_pushes=budget,
-                                       stats=stats)
+            frontier_loop(graph, reserve, residue, ALPHA, 1e-10, source=0,
+                          max_pushes=budget, stats=stats)
         # The overflowing round was not applied (or counted).
         assert stats.pushes <= budget
         assert unit_mass_gap(reserve, residue) < 1e-12
@@ -345,54 +313,68 @@ class TestSnapshotCache:
 
 
 # ---------------------------------------------------------------------------
-# Backend selection
+# scipy without the private CSR kernels: the public fallback
 # ---------------------------------------------------------------------------
-class TestBackendSelection:
-    def test_explicit_numpy(self):
-        assert resolve_backend("numpy") == "numpy"
+class TestScipyFallback:
+    """``_accumulate_matvec`` without scipy's private CSR kernels.
 
-    def test_env_is_consulted(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        with pytest.raises(ParameterError):
-            resolve_backend()
+    The private kernels add each row's products onto the existing
+    residue; the public ``csr_matrix`` product sums the products first.
+    The push decisions are the same either way, and the values agree up
+    to that summation order.
+    """
 
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        assert resolve_backend("numpy") == "numpy"
+    @staticmethod
+    def solve_both(monkeypatch, graph, r_max, sources):
+        from repro.core.powerpush import powerpush_batch
 
-    def test_auto_resolves_by_availability(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_backend() == expected
-        assert resolve_backend("auto") == expected
+        def solve():
+            reserve, residue = init_state(graph, sources[0])
+            stats = PushStats()
+            frontier_loop(graph, reserve, residue, ALPHA, r_max,
+                          source=sources[0], stats=stats)
+            batch = powerpush_batch(graph, sources)
+            return reserve, residue, stats, [r.estimates for r in batch]
 
-    def test_numba_request_honours_availability(self):
-        if numba_available():
-            assert resolve_backend("numba") == "numba"
-        else:
-            with pytest.raises(ParameterError):
-                resolve_backend("numba")
+        private = solve()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_csr_matvec", None)
+            patch.setattr(kernels, "_csr_matvecs", None)
+            fallback = solve()
+        return private, fallback
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError):
-            forward_push_loop(generators.ring(4), *init_state(
-                generators.ring(4), 0), ALPHA, 1e-3, backend="fortran")
+    def test_fallback_byte_equal_on_preferential_attachment(self,
+                                                            monkeypatch):
+        graph = generators.preferential_attachment(400, 3, seed=0)
+        private, fallback = self.solve_both(monkeypatch, graph, 1e-8,
+                                            [0, 5, 17, 123])
+        assert private[2].dense_rounds > 40  # SpMV rounds are exercised
+        np.testing.assert_array_equal(fallback[0], private[0])
+        np.testing.assert_array_equal(fallback[1], private[1])
+        assert fallback[2] == private[2]
+        for got, want in zip(fallback[3], private[3]):
+            np.testing.assert_array_equal(got, want)
 
-    def test_resolution_is_thread_consistent(self, monkeypatch):
-        # Regression: the availability probe used to re-import the numba
-        # backend on every call; concurrent importing threads could see a
-        # partially-initialized module and resolve "auto" to numba on a
-        # machine without it.  The probe is now cached process-wide, so
-        # every thread must agree.
-        from concurrent.futures import ThreadPoolExecutor
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            answers = set(pool.map(lambda _: resolve_backend(),
-                                   range(200)))
-        assert len(answers) == 1
+    @pytest.mark.parametrize("dangling", ["absorb", "restart"])
+    def test_fallback_matches_with_dangling_nodes(self, monkeypatch,
+                                                  dangling):
+        gen = np.random.default_rng(0)
+        n = 400
+        edges = np.column_stack([gen.integers(0, n, size=6 * n),
+                                 gen.integers(0, n, size=6 * n)])
+        sinks = gen.choice(n, size=n // 8, replace=False)
+        edges = edges[~np.isin(edges[:, 0], sinks)]
+        graph = from_edges(n, edges, dangling=dangling)
+        private, fallback = self.solve_both(monkeypatch, graph, 1e-8,
+                                            [0, 5, 17, 123])
+        assert private[2].dense_rounds > 0
+        assert fallback[2] == private[2]  # same push decisions
+        np.testing.assert_allclose(fallback[0], private[0],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(fallback[1], private[1],
+                                   rtol=0.0, atol=1e-12)
+        for got, want in zip(fallback[3], private[3]):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from it.
   call, so a patched module attribute is what the engine runs.
 * **Top-k validation.**  ``k < 1`` is rejected on every top-k path, not
   only on the fast path.
+* **Walk pool.**  With ``walk_workers > 1`` an engine builds the shared
+  walk pool only for an entry that ``runs_walks`` (ResAcc).
 """
 
 from __future__ import annotations
@@ -119,3 +121,33 @@ def test_top_k_rejects_k_below_one_custom_and_facade(graph, k):
     with QueryEngine(graph, solver="powerpush") as engine:
         with pytest.raises(ParameterError):
             engine.top_k(0, k)
+
+
+@pytest.mark.parametrize("name, pools", [
+    ("powerpush", 0),
+    ("custom", 0),
+    ("resacc", 1),
+])
+def test_walk_pool_built_only_for_solvers_that_run_walks(
+        monkeypatch, graph, name, pools):
+    from repro.core import resacc
+    from repro.walks import parallel
+
+    built = []
+
+    class CountingExecutor(parallel.ParallelWalkExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ParallelWalkExecutor", CountingExecutor)
+
+    def custom(graph, source, accuracy, seed):
+        return resacc(graph, source, accuracy=accuracy, seed=seed)
+
+    solver = custom if name == "custom" else name
+    with ConcurrentQueryEngine(graph, solver=solver,
+                               walk_workers=2) as engine:
+        engine.query(0)
+        engine.query(1)
+    assert len(built) == pools
