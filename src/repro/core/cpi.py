@@ -61,7 +61,7 @@ def cpi_error_bound(alpha, rounds):
 
 
 def cpi(graph, source, *, alpha=0.2, rounds=None, tol=None,
-        max_rounds=MAX_CPI_ROUNDS, trace=NULL_TRACE):
+        max_rounds=MAX_CPI_ROUNDS, trace=None):
     """Truncated cumulative power iteration with a computable bound.
 
     Parameters
@@ -73,8 +73,8 @@ def cpi(graph, source, *, alpha=0.2, rounds=None, tol=None,
         Target leftover mass when ``rounds`` is ``None``; defaults to
         :data:`DEFAULT_CPI_ROUNDS` worth of decay.
     trace:
-        Observability hook (``repro.obs.trace``); the whole solve is one
-        ``cpi`` phase.
+        Observability hook (``repro.obs.trace``) or None; the whole
+        solve is one ``cpi`` phase.
 
     Returns
     -------
@@ -100,6 +100,8 @@ def cpi(graph, source, *, alpha=0.2, rounds=None, tol=None,
     if budget < 0 or (tol is not None and tol < 0):
         raise ParameterError("rounds and tol must be non-negative")
 
+    if trace is None:
+        trace = NULL_TRACE
     indptr, indices = graph.indptr, graph.indices
     degrees = graph.out_degrees
     restart = graph.dangling == "restart"

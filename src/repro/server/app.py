@@ -33,6 +33,7 @@ wire reference.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 import signal
 import sys
@@ -309,83 +310,56 @@ class SSRWRServer:
     async def _respond(self, request):
         """Route one request; always returns rendered response bytes."""
         tic = time.perf_counter()
+        status, body, headers, ctype = await self._route(request)
+        self.metrics.observe_request(request.path, status,
+                                     time.perf_counter() - tic)
+        return render_response(status, body, content_type=ctype,
+                               extra_headers=headers,
+                               keep_alive=not self._draining)
+
+    async def _route(self, request):
+        """``(status, body, headers, content_type)`` for one request."""
         endpoint = request.path
         handler = self._routes.get((request.method, endpoint))
         if handler is None:
             known_paths = {path for _, path in self._routes}
             status = 405 if endpoint in known_paths else 404
-            body = json_body({"error": f"{request.method} {endpoint}"})
-            self.metrics.observe_request(endpoint, status,
-                                         time.perf_counter() - tic)
-            return render_response(status, body)
-
+            return (status,
+                    json_body({"error": f"{request.method} {endpoint}"}),
+                    None, "application/json")
         if endpoint in CONTROL_ENDPOINTS:
-            status, body, headers, ctype = await handler(request)
-            self.metrics.observe_request(endpoint, status,
-                                         time.perf_counter() - tic)
-            return render_response(status, body, content_type=ctype,
-                                   extra_headers=headers)
+            return await handler(request)
 
         # Admission control for the work-carrying endpoints.
+        retry_after = {"Retry-After": str(self._config.retry_after_seconds)}
         if self._draining:
-            status, body, headers = 503, json_body(
-                {"error": "server is draining"}
-            ), {"Retry-After": str(self._config.retry_after_seconds)}
-            self.metrics.observe_request(endpoint, status,
-                                         time.perf_counter() - tic)
-            return render_response(status, body, extra_headers=headers,
-                                   keep_alive=False)
+            return (503, json_body({"error": "server is draining"}),
+                    retry_after, "application/json")
         client = request.header(self._config.client_header, "anonymous")
         if self._limiter is not None and not self._limiter.allow(client):
             retry = max(1, int(self._limiter.retry_after(client) + 0.999))
-            status, body = 429, json_body(
-                {"error": f"client {client!r} is rate-limited"}
-            )
-            self.metrics.observe_request(endpoint, status,
-                                         time.perf_counter() - tic)
-            return render_response(status, body,
-                                   extra_headers={"Retry-After": str(retry)})
-        if not self._admission.try_acquire():
+            return (429,
+                    json_body({"error": f"client {client!r} is rate-limited"}),
+                    {"Retry-After": str(retry)}, "application/json")
+        admission = self._admission
+        if not admission.try_acquire():
             # Overload.  With the degraded tier enabled, /query escapes
             # through a separate small admission queue and is answered
             # by the cheap CPI tier (200 with truthful tier/accuracy
             # fields); everything else -- and /query once the degraded
             # slots are also full -- sheds with 503 as before.
-            if (self._tier_policy.enabled and endpoint == "/query"
-                    and self._degraded_admission.try_acquire()):
-                try:
-                    status, body, headers, ctype = await self._dispatch(
-                        lambda req: self._handle_query(
-                            req, degraded="overload"
-                        ),
-                        request,
-                    )
-                finally:
-                    self._degraded_admission.release()
-                self.metrics.observe_request(endpoint, status,
-                                             time.perf_counter() - tic)
-                return render_response(status, body, content_type=ctype,
-                                       extra_headers=headers)
-            status, body = 503, json_body(
-                {"error": "pending-request queue is full"}
-            )
-            self.metrics.observe_request(endpoint, status,
-                                         time.perf_counter() - tic)
-            return render_response(
-                status, body,
-                extra_headers={
-                    "Retry-After": str(self._config.retry_after_seconds)
-                },
-            )
+            admission = self._degraded_admission
+            if not (self._tier_policy.enabled and endpoint == "/query"
+                    and admission.try_acquire()):
+                return (503,
+                        json_body({"error": "pending-request queue is full"}),
+                        retry_after, "application/json")
+            handler = functools.partial(self._handle_query,
+                                        degraded="overload")
         try:
-            status, body, headers, ctype = await self._dispatch(handler,
-                                                                request)
+            return await self._dispatch(handler, request)
         finally:
-            self._admission.release()
-        self.metrics.observe_request(endpoint, status,
-                                     time.perf_counter() - tic)
-        return render_response(status, body, content_type=ctype,
-                               extra_headers=headers)
+            admission.release()
 
     async def _dispatch(self, handler, request):
         """Run one work handler, mapping domain errors to status codes."""
@@ -456,6 +430,59 @@ class SSRWRServer:
 
     async def _in_pool(self, fn):
         return await self._loop.run_in_executor(self._pool, fn)
+
+    async def _batch_outcome(self, request, payload, answer):
+        """Run one batch endpoint's engine call; returns its
+        :class:`repro.serving.BatchOutcome` and the parsed accuracy.
+
+        ``answer(sources, accuracy=, deadline=, on_error=)`` is the
+        engine's ``query_batch`` or ``top_k_batch``, run with
+        ``on_error="collect"`` so a bad source yields an entry in
+        ``errors`` instead of failing the whole batch.
+        """
+        sources = payload.get("sources")
+        if not isinstance(sources, list) or not sources:
+            raise ProtocolError(400, "'sources' must be a non-empty list")
+        for value in sources:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ProtocolError(400, "'sources' must hold integers")
+        accuracy = self._accuracy_from(payload)
+        deadline = self._deadline_for(request)
+        outcome = await self._in_pool(
+            lambda: answer(sources, accuracy=accuracy, deadline=deadline,
+                           on_error="collect")
+        )
+        if (outcome.errors
+                and any(result is None for result in outcome.results)
+                and time.monotonic() >= deadline):
+            # The batch as a whole ran out of budget; per-item errors
+            # would just repeat the deadline message.
+            raise DeadlineExceededError(
+                "batch deadline expired before every source was answered"
+            )
+        return outcome, accuracy
+
+    def _top_k_doc(self, answer):
+        """One top-k answer on the wire, counted by solver path."""
+        self.metrics.observe_top_k(answer.path)
+        # bound_gap / bound_width are None on the full path; emit JSON
+        # null rather than NaN (which json would not round-trip).
+        return {
+            "source": int(answer.source),
+            "nodes": [int(v) for v in answer.nodes],
+            "values": [float(v) for v in answer.values],
+            #: which solver produced the scores: "topk" means the
+            #: early-terminating fast path certified the set, "full"
+            #: means the full solve answered (fast path not separated,
+            #: forced mode, or custom solver).
+            "path": answer.path,
+            "separated": bool(answer.separated),
+            "bound_gap": _finite_or_none(answer.bound_gap),
+            "bound_width": _finite_or_none(answer.bound_width),
+            "walks_used": int(answer.walks_used),
+            "pushes": int(answer.pushes),
+            "tier": "exact",
+        }
 
     # ------------------------------------------------------------------
     # Endpoint handlers (each returns status, body, headers, ctype)
@@ -538,29 +565,9 @@ class SSRWRServer:
         return 200, json_body(doc), None, "application/json"
 
     async def _handle_query_batch(self, request):
-        payload = request.json()
-        sources = payload.get("sources")
-        if not isinstance(sources, list) or not sources:
-            raise ProtocolError(400, "'sources' must be a non-empty list")
-        for value in sources:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ProtocolError(400, "'sources' must hold integers")
-        accuracy = self._accuracy_from(payload)
-        deadline = self._deadline_for(request)
-        outcome = await self._in_pool(
-            lambda: self._engine.query_batch(
-                sources, accuracy=accuracy, deadline=deadline,
-                on_error="collect",
-            )
+        outcome, accuracy = await self._batch_outcome(
+            request, request.json(), self._engine.query_batch,
         )
-        if (outcome.errors
-                and any(result is None for result in outcome.results)
-                and time.monotonic() >= deadline):
-            # The batch as a whole ran out of budget; per-item errors
-            # would just repeat the deadline message.
-            raise DeadlineExceededError(
-                "batch deadline expired before every source was answered"
-            )
         from repro.serving.tiers import achieved_eps
 
         contract = self._query_contract(accuracy)
@@ -589,95 +596,31 @@ class SSRWRServer:
         payload = request.json()
         source = self._int_field(payload, "source")
         k = self._int_field(payload, "k")
-        if k < 1:
-            raise ProtocolError(400, "'k' must be >= 1")
         mode = payload.get("mode", "auto")
-        if mode not in ("auto", "fast", "full"):
-            raise ProtocolError(
-                400, f"mode must be auto | fast | full, got {mode!r}"
-            )
         accuracy = self._accuracy_from(payload)
         deadline = self._deadline_for(request)
         answer = await self._in_pool(
             lambda: self._engine.top_k(source, k, accuracy=accuracy,
                                        deadline=deadline, mode=mode)
         )
-        self.metrics.observe_top_k(answer.path)
-        # bound_gap / bound_width are None on the full path; emit JSON
-        # null rather than NaN (which json would not round-trip).
-        doc = {
-            "source": source,
-            "k": int(k),
-            "epoch": self._engine.epoch,
-            "nodes": [int(v) for v in answer.nodes],
-            "values": [float(v) for v in answer.values],
-            #: which solver produced the scores: "topk" means the
-            #: early-terminating fast path certified the set, "full"
-            #: means the full solve answered (fast path not separated,
-            #: forced mode, or custom solver).
-            "path": answer.path,
-            "separated": bool(answer.separated),
-            "bound_gap": _finite_or_none(answer.bound_gap),
-            "bound_width": _finite_or_none(answer.bound_width),
-            "walks_used": int(answer.walks_used),
-            "pushes": int(answer.pushes),
-            "tier": "exact",
-        }
+        doc = {"k": k, "epoch": self._engine.epoch,
+               **self._top_k_doc(answer)}
         return 200, json_body(doc), None, "application/json"
 
     async def _handle_top_k_batch(self, request):
-        """Answer ``POST /top_k_batch``: one ranked answer per source,
-        reusing the engine's batch fan-out (``on_error="collect"`` so a
-        bad source yields an entry in ``errors`` instead of failing the
-        whole batch)."""
+        """Answer ``POST /top_k_batch``: one ranked answer per source."""
         payload = request.json()
-        sources = payload.get("sources")
-        if not isinstance(sources, list) or not sources:
-            raise ProtocolError(400, "'sources' must be a non-empty list")
-        for value in sources:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ProtocolError(400, "'sources' must hold integers")
         k = self._int_field(payload, "k")
-        if k < 1:
-            raise ProtocolError(400, "'k' must be >= 1")
-        mode = payload.get("mode", "auto")
-        if mode not in ("auto", "fast", "full"):
-            raise ProtocolError(
-                400, f"mode must be auto | fast | full, got {mode!r}"
-            )
-        accuracy = self._accuracy_from(payload)
-        deadline = self._deadline_for(request)
-        outcome = await self._in_pool(
-            lambda: self._engine.top_k_batch(
-                sources, k, accuracy=accuracy, deadline=deadline,
-                mode=mode, on_error="collect",
-            )
+        outcome, _ = await self._batch_outcome(
+            request, payload,
+            functools.partial(self._engine.top_k_batch, k=k,
+                              mode=payload.get("mode", "auto")),
         )
-        if (outcome.errors
-                and any(result is None for result in outcome.results)
-                and time.monotonic() >= deadline):
-            raise DeadlineExceededError(
-                "batch deadline expired before every source was answered"
-            )
-        results = []
-        for source, answer in zip(sources, outcome.results):
-            if answer is None:
-                results.append(None)
-                continue
-            self.metrics.observe_top_k(answer.path)
-            results.append({
-                "source": int(source),
-                "nodes": [int(v) for v in answer.nodes],
-                "values": [float(v) for v in answer.values],
-                "path": answer.path,
-                "separated": bool(answer.separated),
-                "bound_gap": _finite_or_none(answer.bound_gap),
-                "bound_width": _finite_or_none(answer.bound_width),
-            })
         doc = {
             "epoch": self._engine.epoch,
-            "k": int(k),
-            "results": results,
+            "k": k,
+            "results": [None if answer is None else self._top_k_doc(answer)
+                        for answer in outcome.results],
             "errors": {str(source): message
                        for source, message in outcome.errors.items()},
         }

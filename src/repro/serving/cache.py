@@ -116,56 +116,23 @@ class SingleFlightCache:
         land, then retry and compute fresh.
         """
         while True:
-            with self._lock:
-                if key in self._data:
-                    self._data.move_to_end(key)
-                    return self._data[key], "hit"
-                flight = self._flights.get(key)
-                if flight is None:
-                    flight = _Flight(self._generation)
-                    self._flights[key] = flight
-                    stale = False
-                    owner = True
-                else:
-                    stale = flight.generation != self._generation
-                    owner = False
-            if owner:
-                break
-            flight.event.wait()
-            if stale:
-                # The stale owner has landed (and was popped from
-                # _flights before its event fired), so the retry either
-                # owns a fresh flight or joins a current-generation one.
-                continue
-            if flight.error is not None:
-                raise flight.error
-            return flight.value, "coalesced"
-        try:
-            flight.value = compute()
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            meta_value = None
-            if flight.error is None and meta is not None:
+            hits, owned, waiting = self.begin_flights([key])
+            if key in hits:
+                return hits[key], "hit"
+            if key in owned:
                 try:
-                    meta_value = meta(flight.value)
-                except Exception:
-                    meta_value = None  # entry stays cached, just unretainable
-            with self._lock:
-                self._flights.pop(key, None)
-                publishable = (flight.error is None
-                               and self._max_size > 0
-                               and flight.generation == self._generation)
-                if publishable:
-                    self._data[key] = flight.value
-                    if meta_value is not None:
-                        self._meta[key] = meta_value
-                    while len(self._data) > self._max_size:
-                        evicted, _ = self._data.popitem(last=False)
-                        self._meta.pop(evicted, None)
-            flight.event.set()
-        return flight.value, "miss"
+                    value = compute()
+                except BaseException as exc:
+                    self.settle_flight(key, owned[key], error=exc)
+                    raise
+                self.settle_flight(key, owned[key], value=value, meta=meta)
+                return value, "miss"
+            # A stale flight (it predates an invalidation) has landed by
+            # the time wait_for returns "retry", so the retry either owns
+            # a fresh flight or joins a current-generation one.
+            value, outcome = self.wait_for(key, *waiting[key])
+            if outcome != "retry":
+                return value, outcome
 
     def begin_flights(self, keys):
         """Claim flights for a batch of keys in one lock acquisition.
@@ -210,10 +177,11 @@ class SingleFlightCache:
                       meta=None):
         """Resolve a flight claimed via :meth:`begin_flights`.
 
-        Mirrors the owner path of :meth:`get_or_compute`: the value is
-        published only if the flight's generation is still current and
-        the cache stores anything at all; waiters receive the value (or
-        re-raise ``error``) either way.
+        The one publish path (:meth:`get_or_compute` settles through it
+        too): the value is published only if the flight's generation is
+        still current and the cache stores anything at all; waiters
+        receive the value (or re-raise ``error``) either way.  ``meta``
+        is applied to the value as in :meth:`get_or_compute`.
         """
         if error is not None:
             flight.error = error
@@ -245,7 +213,7 @@ class SingleFlightCache:
         Returns ``(value, "coalesced")``, re-raises the owner's error,
         or returns ``(None, "retry")`` when the flight predated an
         invalidation -- its value belongs to the old graph, so the
-        caller must retry the key (exactly as the solo path does).
+        caller must retry the key.
         """
         del key  # part of the signature for symmetry/debugging
         flight.event.wait()

@@ -37,6 +37,7 @@ contract stay at the caller's requested accuracy.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
@@ -52,6 +53,30 @@ from repro.obs.trace import DeadlineTrace, QueryTrace
 #: Thread-name prefix for pool workers; traces are tagged with these
 #: names, which is how per-worker aggregation groups them.
 WORKER_NAME_PREFIX = "ssrwr-worker"
+
+
+def run_traced(call, graph, *, trace_enabled, epoch, deadline, **meta):
+    """Run one serving solve ``call(graph, trace=...)``.
+
+    Returns ``(value, trace)``: ``trace`` is a fresh :class:`QueryTrace`
+    tagged with ``epoch`` and ``meta`` when ``trace_enabled``, else None.
+    With a ``deadline`` (absolute ``time.monotonic()``) the solver sees
+    a :class:`DeadlineTrace` proxy that checks the clock at phase
+    boundaries and raises :class:`DeadlineExceededError`, freeing the
+    worker; estimates are byte-identical when the run finishes in time.
+    Cached values carry the real trace (or None), never the one-shot
+    proxy -- whoever attached it: a custom solver honouring the deadline
+    contract may attach its own -- so it is stripped from ``value``, or
+    from each item when ``value`` is a list (a blocked solve).
+    """
+    inner = QueryTrace(epoch=epoch, **meta) if trace_enabled else None
+    trace = inner if deadline is None else DeadlineTrace(deadline, inner)
+    value = call(graph, trace=trace)
+    for item in value if isinstance(value, list) else (value,):
+        attached = getattr(item, "trace", None)
+        if isinstance(attached, DeadlineTrace):
+            item.trace = attached.inner or None
+    return value, inner
 
 
 @dataclass
@@ -330,6 +355,11 @@ class ConcurrentQueryEngine:
         computation whose (shorter) deadline fired retries with its own
         intact budget rather than inheriting the foreign cancellation.
         """
+        return self._serve(source, deadline,
+                           self._query_build(source, accuracy, deadline))[0]
+
+    def _query_build(self, source, accuracy, deadline):
+        """The :meth:`_serve` triple of a full query (see there)."""
         def build(graph, epoch):
             effective = accuracy or self._accuracy
             return ((int(source), effective),
@@ -337,12 +367,12 @@ class ConcurrentQueryEngine:
                                           epoch, deadline),
                     self._retention_meta_factory(graph, effective))
 
-        return self._serve(source, deadline, build)
+        return build
 
     def _serve(self, source, deadline, build, *, topk=False):
         """The shared serving loop: deadline pre-check, epoch-gated
         cache lookup with single-flight dedup, coalesced-deadline retry,
-        and stats accounting.
+        and stats accounting.  Returns ``(result, outcome)``.
 
         ``build(graph, epoch)`` returns ``(key, compute, meta)`` for the
         current snapshot -- ``meta`` being the retention-metadata
@@ -354,17 +384,12 @@ class ConcurrentQueryEngine:
         if deadline is not None:
             deadline = float(deadline)
         while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                with self._stats_lock:
-                    self.stats.queries += 1
-                    if topk:
-                        self.stats.topk_queries += 1
-                    self.stats.deadline_exceeded += 1
-                raise DeadlineExceededError(
-                    f"deadline expired before query for source {source} "
-                    f"started"
-                )
             try:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise DeadlineExceededError(
+                        f"deadline expired before query for source "
+                        f"{source} started"
+                    )
                 with self._gate.read() as epoch:
                     graph = self._graph
                     if not 0 <= source < graph.n:
@@ -382,13 +407,15 @@ class ConcurrentQueryEngine:
                     # retrying either owns a fresh computation (with our
                     # own deadline) or joins a healthy one.
                     continue
-                with self._stats_lock:
-                    self.stats.queries += 1
-                    if topk:
-                        self.stats.topk_queries += 1
-                    self.stats.deadline_exceeded += 1
+                self._count("deadline", topk=topk)
                 raise
-            break
+            self._count(outcome, topk=topk)
+            return result, outcome
+
+    def _count(self, outcome, *, topk=False):
+        """Account one answered (or failed) query by its outcome:
+        ``"hit"``, ``"coalesced"``, ``"miss"`` or ``"deadline"``; any
+        other outcome (a failed solve) counts only as a query."""
         with self._stats_lock:
             self.stats.queries += 1
             if topk:
@@ -397,9 +424,10 @@ class ConcurrentQueryEngine:
                 self.stats.cache_hits += 1
             elif outcome == "coalesced":
                 self.stats.coalesced += 1
-            else:
+            elif outcome == "miss":
                 self.stats.cache_misses += 1
-        return result
+            elif outcome == "deadline":
+                self.stats.deadline_exceeded += 1
 
     def query_cheap(self, source, *, accuracy=None, rounds=None):
         """Degraded-tier answer: cumulative power iteration (TPA-style).
@@ -430,7 +458,7 @@ class ConcurrentQueryEngine:
                                               rounds, epoch),
                     None)
 
-        result = self._serve(source, None, build)
+        result = self._serve(source, None, build)[0]
         with self._stats_lock:
             self.stats.tier_downgrades += 1
         return result
@@ -441,12 +469,12 @@ class ConcurrentQueryEngine:
         whose cost is a handful of frontier sweeps, not worth a
         process round-trip."""
         from repro.core.cpi import cpi
-        from repro.obs.trace import NULL_TRACE
 
-        inner = QueryTrace(epoch=epoch) if self._trace_enabled else None
         tic = time.perf_counter()
-        result = cpi(graph, source, rounds=rounds,
-                     trace=inner if inner is not None else NULL_TRACE)
+        result, trace = run_traced(
+            functools.partial(cpi, source=source, rounds=rounds), graph,
+            trace_enabled=self._trace_enabled, epoch=epoch, deadline=None,
+        )
         contract = accuracy
         if contract is None and graph.n >= 2:
             contract = AccuracyParams.paper_defaults(graph.n)
@@ -454,7 +482,7 @@ class ConcurrentQueryEngine:
             result.extras["error_bound"] / contract.delta
             if contract is not None else None
         )
-        self._record_solver_run(inner, time.perf_counter() - tic)
+        self._record_solver_run(trace, time.perf_counter() - tic)
         return result
 
     def top_k_batch(self, sources, k, *, accuracy=None, deadline=None,
@@ -469,51 +497,12 @@ class ConcurrentQueryEngine:
         Each answer is a :class:`repro.core.TopKAnswer`, so per-source
         ``path`` / ``separated`` survive into the HTTP batch endpoint.
         """
-        if on_error not in ("raise", "collect"):
-            raise ParameterError(
-                f"on_error must be 'raise' or 'collect', got {on_error!r}"
-            )
-        if mode not in ("auto", "fast", "full"):
-            raise ParameterError(
-                f"mode must be 'auto', 'fast' or 'full', got {mode!r}"
-            )
-        k = int(k)
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        sources = [int(s) for s in sources]
-        with self._gate.read():
-            n = self._graph.n
-        invalid = {}
-        for s in sources:
-            if not 0 <= s < n and s not in invalid:
-                invalid[s] = f"source {s} out of range for n={n}"
-        if on_error == "raise":
-            if invalid:
-                raise ParameterError(
-                    f"top_k_batch rejected {len(invalid)} invalid "
-                    f"source(s) up front: "
-                    + "; ".join(invalid[s] for s in sorted(invalid))
-                )
-            futures = [
-                self._executor.submit(self.top_k, s, k, accuracy=accuracy,
-                                      deadline=deadline, mode=mode)
-                for s in sources
-            ]
-            return [future.result() for future in futures]
-        results = [None] * len(sources)
-        errors = dict(invalid)
-        futures = {
-            index: self._executor.submit(self.top_k, s, k,
-                                         accuracy=accuracy,
-                                         deadline=deadline, mode=mode)
-            for index, s in enumerate(sources) if s not in invalid
-        }
-        for index, future in futures.items():
-            try:
-                results[index] = future.result()
-            except Exception as exc:
-                errors[sources[index]] = str(exc) or type(exc).__name__
-        return BatchOutcome(results=results, errors=errors)
+        k = self._check_topk(k, mode)
+        return self._fan_out(
+            "top_k_batch", sources, on_error,
+            lambda s: self.top_k(s, k, accuracy=accuracy,
+                                 deadline=deadline, mode=mode),
+        )
 
     def query_batch(self, sources, *, accuracy=None, deadline=None,
                     on_error="raise"):
@@ -535,6 +524,28 @@ class ConcurrentQueryEngine:
         ``deadline`` (absolute ``time.monotonic()`` timestamp) applies to
         every item; see :meth:`query`.
         """
+        blocked = None
+        if self._solver.blocked_batch:
+            blocked = functools.partial(self._query_batch_blocked,
+                                        accuracy=accuracy, deadline=deadline)
+        return self._fan_out(
+            "query_batch", sources, on_error,
+            lambda s: self.query(s, accuracy=accuracy, deadline=deadline),
+            blocked,
+        )
+
+    def _fan_out(self, name, sources, on_error, answer, blocked=None):
+        """The batch triage shared by :meth:`query_batch` and
+        :meth:`top_k_batch`.
+
+        Validates ``on_error`` and every source up front; an invalid
+        batch under ``"raise"`` fails naming all bad sources before any
+        work starts.  ``answer(source)`` then runs on the worker pool
+        for each valid position -- unless ``blocked(sources, invalid,
+        on_error)`` is given, which answers the whole batch itself.
+        ``"raise"`` re-raises the first failure in input order;
+        ``"collect"`` returns a :class:`BatchOutcome`.
+        """
         if on_error not in ("raise", "collect"):
             raise ParameterError(
                 f"on_error must be 'raise' or 'collect', got {on_error!r}"
@@ -546,44 +557,32 @@ class ConcurrentQueryEngine:
         for s in sources:
             if not 0 <= s < n and s not in invalid:
                 invalid[s] = f"source {s} out of range for n={n}"
-        blocked = self._solver.blocked_batch
-        if on_error == "raise":
-            if invalid:
-                raise ParameterError(
-                    f"query_batch rejected {len(invalid)} invalid "
-                    f"source(s) up front: "
-                    + "; ".join(invalid[s] for s in sorted(invalid))
-                )
-            if blocked:
-                return self._query_batch_blocked(
-                    sources, {}, accuracy, deadline, "raise",
-                )
-            futures = [
-                self._executor.submit(self.query, s, accuracy=accuracy,
-                                      deadline=deadline)
-                for s in sources
-            ]
-            return [future.result() for future in futures]
-        if blocked:
-            return self._query_batch_blocked(
-                sources, invalid, accuracy, deadline, "collect",
+        if invalid and on_error == "raise":
+            raise ParameterError(
+                f"{name} rejected {len(invalid)} invalid source(s) up "
+                f"front: " + "; ".join(invalid[s] for s in sorted(invalid))
             )
-        results = [None] * len(sources)
-        errors = dict(invalid)
+        if blocked is not None:
+            return blocked(sources, invalid, on_error)
         futures = {
-            index: self._executor.submit(self.query, s, accuracy=accuracy,
-                                         deadline=deadline)
+            index: self._executor.submit(answer, s)
             for index, s in enumerate(sources) if s not in invalid
         }
+        results = [None] * len(sources)
+        errors = dict(invalid)
         for index, future in futures.items():
             try:
                 results[index] = future.result()
             except Exception as exc:
+                if on_error == "raise":
+                    raise
                 errors[sources[index]] = str(exc) or type(exc).__name__
+        if on_error == "raise":
+            return results
         return BatchOutcome(results=results, errors=errors)
 
-    def _query_batch_blocked(self, sources, invalid, accuracy, deadline,
-                             on_error):
+    def _query_batch_blocked(self, sources, invalid, on_error, *, accuracy,
+                             deadline):
         """Blocked batch serving: one blocked sweep for the cold misses.
 
         The per-source loop pays one global sweep cascade per cold
@@ -682,26 +681,18 @@ class ConcurrentQueryEngine:
         # coalesced (they share the first occurrence's result object),
         # matching what a looped solo batch would typically record.
         seen = set()
-        with self._stats_lock:
-            for s in sources:
-                if s in invalid:
-                    continue  # never submitted, like the solo collect path
-                self.stats.queries += 1
-                if s in errored:
-                    if isinstance(errored[s], DeadlineExceededError):
-                        self.stats.deadline_exceeded += 1
-                    continue
-                if s in seen:
-                    self.stats.coalesced += 1
-                    continue
+        for s in sources:
+            if s in invalid:
+                continue  # never submitted, like the solo collect path
+            if s in errored:
+                self._count("deadline"
+                            if isinstance(errored[s], DeadlineExceededError)
+                            else "error")
+            elif s in seen:
+                self._count("coalesced")
+            else:
                 seen.add(s)
-                outcome = outcomes.get(s, "miss")
-                if outcome == "hit":
-                    self.stats.cache_hits += 1
-                elif outcome == "coalesced":
-                    self.stats.coalesced += 1
-                else:
-                    self.stats.cache_misses += 1
+                self._count(outcomes.get(s, "miss"))
         if on_error == "raise":
             if errored:
                 for s in sources:
@@ -718,20 +709,16 @@ class ConcurrentQueryEngine:
         """One blocked solve (the entry's ``solve_batch``) for a batch's
         cold sources.
 
-        The multi-process engine overrides this to dispatch the block to
-        a pool worker against the shared-memory graph.
+        Per-source results carry no trace; the block's one trace is
+        recorded like a solo solve's.
         """
-        inner = QueryTrace(epoch=epoch) if self._trace_enabled else None
-        trace = inner
-        if deadline is not None:
-            trace = DeadlineTrace(deadline, inner)
-        tic = time.perf_counter()
-        results = self._solver.solve_batch(
-            graph, sources,
-            accuracy=self._solve_accuracy_for(graph, accuracy), trace=trace,
+        return self._run(
+            functools.partial(
+                self._solver.solve_batch, sources=list(sources),
+                accuracy=self._solve_accuracy_for(graph, accuracy),
+            ),
+            graph, epoch, deadline,
         )
-        self._record_solver_run(inner, time.perf_counter() - tic)
-        return results
 
     def top_k(self, source, k, *, accuracy=None, deadline=None,
               mode="auto"):
@@ -742,10 +729,12 @@ class ConcurrentQueryEngine:
         early-terminating solver of :mod:`repro.core.topk_solver` and
         falls back to the full solve when the set cannot be certified;
         ``"fast"`` / ``"full"`` force one path.  When the solver entry
-        has no ``topk_fast_path`` (PowerPush, custom solvers) the answer
-        always comes from :meth:`query` (``path="full"``).
+        has no ``topk_fast_path`` (PowerPush, custom solvers), and for
+        ``mode="full"``, the answer comes from the cached full-query
+        result :meth:`query` would return (``path="full"``), and
+        ``topk_fallback`` counts only the full solves this call ran.
 
-        Cache keys are ``("topk", source, accuracy, k, mode)`` --
+        Fast-path cache keys are ``("topk", source, accuracy, k, mode)`` --
         disjoint from full-query keys, per-``k`` (a certificate covers
         only its own set), and never shared between modes.  The fast
         solver's walks are always serial, so the answer is a pure
@@ -757,24 +746,20 @@ class ConcurrentQueryEngine:
         including each fast-path refinement round -- and expiry raises
         :class:`repro.errors.DeadlineExceededError`, freeing the worker.
         """
-        k = int(k)
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        if mode not in ("auto", "fast", "full"):
-            raise ParameterError(
-                f"mode must be 'auto', 'fast' or 'full', got {mode!r}"
-            )
+        k = self._check_topk(k, mode)
         if not self._solver.topk_fast_path or mode == "full":
             # The early-terminating top-k solver is built on ResAcc's
             # push+walk envelope; other solvers answer top-k from the
             # full vector instead.
             from repro.core.topk_solver import answer_from_result
 
-            result = self.query(source, accuracy=accuracy,
-                                deadline=deadline)
-            with self._stats_lock:
-                self.stats.topk_queries += 1
-                self.stats.topk_fallback += 1
+            result, outcome = self._serve(
+                source, deadline,
+                self._query_build(source, accuracy, deadline), topk=True,
+            )
+            if outcome == "miss":
+                with self._stats_lock:
+                    self.stats.topk_fallback += 1
             return answer_from_result(result, k)
 
         def build(graph, epoch):
@@ -787,29 +772,35 @@ class ConcurrentQueryEngine:
                                                deadline),
                     None)
 
-        return self._serve(source, deadline, build, topk=True)
+        return self._serve(source, deadline, build, topk=True)[0]
+
+    @staticmethod
+    def _check_topk(k, mode):
+        """``int(k)``, once ``k`` and ``mode`` are valid for a top-k call."""
+        k = int(k)
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
+        if mode not in ("auto", "fast", "full"):
+            raise ParameterError(
+                f"mode must be 'auto', 'fast' or 'full', got {mode!r}"
+            )
+        return k
 
     def _compute_topk(self, graph, source, k, accuracy, mode, epoch,
                       deadline=None):
+        # Resolved per call, so a patched module attribute takes effect.
         from repro.core.topk_solver import answer_top_k
 
-        inner = QueryTrace(epoch=epoch) if self._trace_enabled else None
-        trace = inner
-        if deadline is not None:
-            trace = DeadlineTrace(deadline, inner)
-        tic = time.perf_counter()
-        answer = answer_top_k(
-            graph, source, k,
-            accuracy=accuracy or AccuracyParams.paper_defaults(graph.n),
-            seed=self._seed + source, mode=mode, trace=trace,
-            walk_workers=self._walk_workers,
-            walk_executor=self._walk_executor_for(graph),
+        answer = self._run(
+            functools.partial(
+                answer_top_k, source=source, k=k,
+                accuracy=accuracy or AccuracyParams.paper_defaults(graph.n),
+                seed=self._seed + source, mode=mode,
+                walk_workers=self._walk_workers,
+                walk_executor=self._walk_executor_for(graph),
+            ),
+            graph, epoch, deadline,
         )
-        if deadline is not None:
-            # Cached answers carry the real trace (or None), never the
-            # one-shot deadline proxy.
-            answer.trace = inner
-        self._record_solver_run(inner, time.perf_counter() - tic)
         with self._stats_lock:
             if answer.path == "topk":
                 self.stats.topk_fast += 1
@@ -859,34 +850,35 @@ class ConcurrentQueryEngine:
         return make
 
     def _compute(self, graph, source, accuracy, epoch, deadline=None):
-        inner = QueryTrace(epoch=epoch) if self._trace_enabled else None
-        trace = inner
-        if deadline is not None:
-            # Cooperative cancellation rides the existing trace hooks:
-            # the proxy checks the clock at phase boundaries and raises
-            # DeadlineExceededError, freeing the worker.  Estimates are
-            # byte-identical when the run finishes in time.
-            trace = DeadlineTrace(deadline, inner)
-        tic = time.perf_counter()
-        result = self._solver.solve(
-            graph, source,
-            accuracy=self._solve_accuracy_for(graph, accuracy),
-            seed=self._seed + source, trace=trace,
-            walk_workers=self._walk_workers,
-            walk_executor=self._walk_executor_for(graph),
+        """One registry solve for ``source`` (a cache miss)."""
+        return self._run(
+            functools.partial(
+                self._solver.solve, source=source,
+                accuracy=self._solve_accuracy_for(graph, accuracy),
+                seed=self._seed + source, walk_workers=self._walk_workers,
+                walk_executor=self._walk_executor_for(graph),
+            ),
+            graph, epoch, deadline,
         )
-        # Cached results carry the real trace (or None), never the
-        # one-shot deadline proxy -- whoever attached it: a custom
-        # solver honouring the deadline contract may attach its own.
-        attached = getattr(result, "trace", None)
-        if isinstance(attached, DeadlineTrace):
-            result.trace = attached.inner or None
-        self._record_solver_run(inner, time.perf_counter() - tic)
-        return result
+
+    def _run(self, call, graph, epoch, deadline):
+        """Time one solve placed by :meth:`_place` and record it."""
+        tic = time.perf_counter()
+        value, trace = self._place(call, graph, epoch, deadline)
+        self._record_solver_run(trace, time.perf_counter() - tic)
+        return value
+
+    def _place(self, call, graph, epoch, deadline):
+        """Run ``call`` through :func:`run_traced` in this thread.
+
+        The multi-process engine overrides only this, to run the same
+        call in a pool worker against the shared-memory graph.
+        """
+        return run_traced(call, graph, trace_enabled=self._trace_enabled,
+                          epoch=epoch, deadline=deadline)
 
     def _record_solver_run(self, trace, elapsed):
-        """Account one finished solver invocation (shared with the
-        multi-process engine, whose solves run in another process)."""
+        """Account one finished solver invocation."""
         with self._stats_lock:
             self.stats.solver_seconds += elapsed
             self.stats.solver_calls += 1

@@ -63,115 +63,36 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import current_process, get_context
 
-from repro.core.params import AccuracyParams
 from repro.errors import (
     DeadlineExceededError,
     ParameterError,
     WorkerCrashError,
 )
-from repro.serving.engine import ConcurrentQueryEngine
+from repro.serving.engine import ConcurrentQueryEngine, run_traced
 
 #: Worker-process tag attached to every trace computed in the pool
 #: (``trace.meta["process"]``); ``worker_trace_summary`` groups on it.
 PROCESS_META_KEY = "process"
 
 
-def _solve_task(handle, entry, source, accuracy, seed, trace_enabled,
-                deadline, epoch):
-    """One solver invocation; runs inside a pool worker process.
+def _pool_task(handle, call, trace_enabled, epoch, deadline):
+    """One serving solve; runs inside a pool worker process.
 
-    ``entry`` is the engine's :class:`repro.core.solvers.SolverEntry`
-    (pickled by reference).  Returns the
-    :class:`repro.core.result.SSRWRResult` (pickled back to the
-    dispatcher) with its trace -- when enabled -- tagged with the worker
-    process name and pid.  The computation is the exact call the
-    threaded engine makes: same entry, same per-source seed, serial
-    walks, so the estimate vector is a pure function of
-    ``(graph, source, accuracy, seed)`` (PowerPush is deterministic and
-    ignores the seed entirely).
+    ``call`` is the engine's solve partial (registry ``solve``,
+    ``solve_batch`` or ``answer_top_k``), pickled by reference.  It runs
+    through the same :func:`repro.serving.engine.run_traced` the
+    threaded engine uses, against the shared-memory graph, with the
+    trace tagged by worker process name and pid.  The ``(value, trace)``
+    pair pickles back to the dispatcher; a deadline proxy's
+    :class:`DeadlineExceededError` pickles back the same way.
     """
-    from repro.obs.trace import DeadlineTrace, QueryTrace
     from repro.walks.parallel import attach_csr_graph
 
-    graph = attach_csr_graph(handle)
-    inner = None
-    if trace_enabled:
-        inner = QueryTrace(epoch=epoch)
-        inner.note(**{PROCESS_META_KEY: current_process().name,
-                      "pid": os.getpid()})
-    trace = inner
-    if deadline is not None:
-        # Same cooperative cancellation as the threaded engine: the
-        # proxy checks the (system-wide) monotonic clock at phase
-        # boundaries and raises DeadlineExceededError, which pickles
-        # back across the pool and frees the dispatcher thread.
-        trace = DeadlineTrace(deadline, inner)
-    result = entry.solve(graph, source, accuracy=accuracy, seed=seed,
-                         trace=trace)
-    # The result must never carry the one-shot deadline proxy home.
-    result.trace = inner
-    return result
-
-
-def _solve_block_task(handle, entry, sources, accuracy, trace_enabled,
-                      deadline, epoch):
-    """One blocked ``entry.solve_batch``; runs inside a pool worker process.
-
-    The cold sources of one ``query_batch`` share each global sweep as
-    an ``(n, B)`` blocked transpose-SpMV over the shared-memory graph.
-    Returns ``(results, trace)``: the per-source
-    :class:`repro.core.result.SSRWRResult` list in input order plus the
-    batch-level trace (or None), both pickled back to the dispatcher.
-    """
-    from repro.obs.trace import DeadlineTrace, QueryTrace
-    from repro.walks.parallel import attach_csr_graph
-
-    graph = attach_csr_graph(handle)
-    inner = None
-    if trace_enabled:
-        inner = QueryTrace(epoch=epoch)
-        inner.note(**{PROCESS_META_KEY: current_process().name,
-                      "pid": os.getpid(), "block_width": len(sources)})
-    trace = inner
-    if deadline is not None:
-        trace = DeadlineTrace(deadline, inner)
-    results = entry.solve_batch(graph, sources, accuracy=accuracy,
-                                trace=trace)
-    return results, inner
-
-
-def _topk_task(handle, source, k, accuracy, seed, mode, trace_enabled,
-               deadline, epoch):
-    """One top-k query; runs inside a pool worker process.
-
-    The whole ``answer_top_k`` pipeline -- fast attempt plus, when it
-    fails to certify, the full-solve fallback -- executes worker-side,
-    so a fallback costs no extra dispatcher round-trip.  Same purity
-    contract as :func:`_solve_task`: serial walks, per-source seed, so
-    the pickled :class:`repro.core.TopKAnswer` is byte-identical to what
-    the in-process engines produce.
-    """
-    from repro.core.topk_solver import answer_top_k
-    from repro.obs.trace import DeadlineTrace, QueryTrace
-    from repro.walks.parallel import attach_csr_graph
-
-    graph = attach_csr_graph(handle)
-    inner = None
-    if trace_enabled:
-        inner = QueryTrace(epoch=epoch)
-        inner.note(**{PROCESS_META_KEY: current_process().name,
-                      "pid": os.getpid()})
-    trace = inner
-    if deadline is not None:
-        trace = DeadlineTrace(deadline, inner)
-    answer = answer_top_k(
-        graph, source, k,
-        accuracy=accuracy or AccuracyParams.paper_defaults(graph.n),
-        seed=seed, mode=mode, trace=trace,
-    )
-    # The answer must never carry the one-shot deadline proxy home.
-    answer.trace = inner
-    return answer
+    return run_traced(call, attach_csr_graph(handle),
+                      trace_enabled=trace_enabled, epoch=epoch,
+                      deadline=deadline,
+                      **{PROCESS_META_KEY: current_process().name,
+                         "pid": os.getpid()})
 
 
 def _attach_task(handle):
@@ -202,7 +123,7 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
         rejected -- they cannot cross the process boundary.  With a
         blocked-batch entry (``"powerpush"``) the cold misses of a
         ``query_batch`` are solved as one blocked sweep in a single pool
-        worker (:func:`_solve_block_task`).
+        worker.
     solver_workers:
         Width of the solver process pool.
     dispatch_workers:
@@ -357,8 +278,8 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _run_in_pool(self, graph, source, deadline, task, *args):
-        """Submit ``task(handle, *args)`` to the solver pool with the
+    def _place(self, call, graph, epoch, deadline):
+        """Run ``call`` as :func:`_pool_task` in the solver pool, with the
         crash-containment loop: a broken pool is retired and respawned
         (against the same shared snapshot) up to ``crash_retries``
         times, after which :class:`WorkerCrashError` surfaces."""
@@ -366,21 +287,21 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
         while True:
             if deadline is not None and time.monotonic() >= deadline:
                 raise DeadlineExceededError(
-                    f"deadline expired before source {source} was "
-                    f"dispatched to a solver worker"
+                    "deadline expired before the solve was dispatched "
+                    "to a solver worker"
                 )
             pool, handle = self._solver_resources(graph)
             try:
-                future = pool.submit(task, handle, *args)
+                future = pool.submit(_pool_task, handle, call,
+                                     self._trace_enabled, epoch, deadline)
                 return future.result()
             except BrokenProcessPool as exc:
                 self._handle_pool_crash(pool)
                 attempts += 1
                 if attempts > self._crash_retries:
                     raise WorkerCrashError(
-                        f"solver worker crashed while answering source "
-                        f"{source} ({attempts} attempt(s), "
-                        f"crash_retries={self._crash_retries})"
+                        f"solver worker crashed mid-solve ({attempts} "
+                        f"attempt(s), crash_retries={self._crash_retries})"
                     ) from exc
             except RuntimeError:
                 # A submit can race a concurrent crash-retirement and hit
@@ -388,52 +309,6 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
                 # Any RuntimeError from a still-current pool is real.
                 if not self._pool_replaced(pool):
                     raise
-
-    def _compute(self, graph, source, accuracy, epoch, deadline=None):
-        tic = time.perf_counter()
-        # Margin tightening resolves dispatcher-side; with the default
-        # margin the contract passes through untouched (None included)
-        # and the worker derives paper defaults from the same n --
-        # byte-identical either way.
-        solve_accuracy = self._solve_accuracy_for(graph, accuracy)
-        result = self._run_in_pool(
-            graph, source, deadline, _solve_task, self._solver, source,
-            solve_accuracy, self._seed + source, self._trace_enabled,
-            deadline, epoch,
-        )
-        self._record_solver_run(result.trace, time.perf_counter() - tic)
-        return result
-
-    def _compute_block(self, graph, sources, accuracy, epoch,
-                       deadline=None):
-        # The blocked cold-miss solve of a query_batch runs in a single
-        # pool worker against the shared-memory graph; only the source
-        # list and the result vectors cross the process boundary.
-        tic = time.perf_counter()
-        solve_accuracy = self._solve_accuracy_for(graph, accuracy)
-        results, trace = self._run_in_pool(
-            graph, list(sources), deadline, _solve_block_task, self._solver,
-            list(sources), solve_accuracy, self._trace_enabled, deadline,
-            epoch,
-        )
-        self._record_solver_run(trace, time.perf_counter() - tic)
-        return results
-
-    def _compute_topk(self, graph, source, k, accuracy, mode, epoch,
-                      deadline=None):
-        tic = time.perf_counter()
-        answer = self._run_in_pool(
-            graph, source, deadline, _topk_task, source, k, accuracy,
-            self._seed + source, mode, self._trace_enabled, deadline,
-            epoch,
-        )
-        self._record_solver_run(answer.trace, time.perf_counter() - tic)
-        with self._stats_lock:
-            if answer.path == "topk":
-                self.stats.topk_fast += 1
-            else:
-                self.stats.topk_fallback += 1
-        return answer
 
     # ------------------------------------------------------------------
     # Observability

@@ -9,16 +9,21 @@ from it.
   call, so a patched module attribute is what the engine runs.
 * **Top-k validation.**  ``k < 1`` is rejected on every top-k path, not
   only on the fast path.
+* **Top-k counters.**  Every top-k path counts ``topk_queries`` the same
+  way, expired deadlines included, and ``topk_fallback`` counts only
+  full solves a top-k call ran, never cache hits.
 * **Walk pool.**  With ``walk_workers > 1`` an engine builds the shared
   walk pool only for an entry that ``runs_walks`` (ResAcc).
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core import solvers
-from repro.errors import ParameterError
+from repro.errors import DeadlineExceededError, ParameterError
 from repro.graph import generators
 from repro.service import QueryEngine
 from repro.serving import ConcurrentQueryEngine
@@ -121,6 +126,30 @@ def test_top_k_rejects_k_below_one_custom_and_facade(graph, k):
     with QueryEngine(graph, solver="powerpush") as engine:
         with pytest.raises(ParameterError):
             engine.top_k(0, k)
+
+
+@pytest.mark.parametrize("name, mode", [("powerpush", "auto"),
+                                        ("resacc", "full")])
+def test_full_path_top_k_counts_only_computed_answers(graph, name, mode):
+    with ConcurrentQueryEngine(graph, solver=name) as engine:
+        for _ in range(4):
+            assert engine.top_k(0, 5, mode=mode).path == "full"
+        assert engine.stats.solver_calls == 1
+        assert engine.stats.topk_queries == 4
+        assert engine.stats.cache_hits == 3
+        assert engine.stats.topk_fallback == 1
+
+
+@pytest.mark.parametrize("name, mode", [("powerpush", "auto"),
+                                        ("resacc", "full"),
+                                        ("resacc", "auto")])
+def test_expired_top_k_counts_as_a_top_k_query(graph, name, mode):
+    with ConcurrentQueryEngine(graph, solver=name) as engine:
+        with pytest.raises(DeadlineExceededError):
+            engine.top_k(0, 5, mode=mode, deadline=time.monotonic() - 1)
+        assert engine.stats.queries == 1
+        assert engine.stats.topk_queries == 1
+        assert engine.stats.deadline_exceeded == 1
 
 
 @pytest.mark.parametrize("name, pools", [
