@@ -1,27 +1,31 @@
-"""Property tests for the early-terminating top-k solver.
+"""Contract tests for the top-k envelope solver.
 
-The contract under test (``docs/topk.md``):
+The contract under test (``docs/topk.md``), checked against an exact
+oracle -- :class:`ExactSolver` under the ``absorb`` dangling policy,
+``power_iteration(tol=1e-12)`` under ``restart``:
 
-* whenever the solver reports ``separated=True`` its node *set* is
-  exactly the full solve's top-k set (same seed, same accuracy) -- no
-  approximation sneaks in through the fast path;
-* the per-node confidence envelope ``[lower, upper]`` contains the
-  exact RWR score for every node (the bounds are what the pruning and
-  the separation certificate rest on);
-* answers are pure functions of ``(graph, source, k, accuracy, seed,
-  mode)`` -- repeated calls are byte-identical;
+* the envelope holds: every returned node's exact score lies in
+  ``[lower, upper]`` (``lower = reserve``, ``upper = reserve + r_sum``,
+  the push invariant of Eq. 2);
+* ``separated`` is true exactly when ``bound_gap > 0``, and then the
+  node *set* equals the exact top-k set;
+* answers are pure functions of ``(graph, source, k, accuracy)`` --
+  repeated calls are byte-identical and ``seed`` is ignored;
 * ties are broken by ascending node id everywhere
   (:func:`repro.core.result.top_k_order` is the library-wide
-  contract).
+  contract), and exact ties never separate.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.baselines.inverse import ExactSolver
-from repro.core import AccuracyParams, resacc, top_k_order, topk_solve
+from repro.baselines.power import power_iteration
+from repro.core import AccuracyParams, resacc, top_k_order
 from repro.core.result import SSRWRResult
 from repro.core.topk_solver import TopKAnswer, answer_top_k
 from repro.errors import ParameterError
@@ -38,15 +42,25 @@ def _parallel_edge_graph():
                       symmetrize=True)
 
 
+def _dangling_graph():
+    """Directed graph where every 7th node has no out-edges, under the
+    ``restart`` policy (dangling mass returns to the source)."""
+    rng = np.random.default_rng(3)
+    edges = [(u, int(v)) for u in range(160) if u % 7
+             for v in rng.integers(0, 160, size=4)]
+    return from_edges(160, edges, dangling="restart")
+
+
 GRAPHS = {
     "ba": lambda: generators.preferential_attachment(300, 3, seed=7),
     "power_law": lambda: generators.directed_power_law(250, 5, seed=11),
     "grid": lambda: generators.grid(12, 12, torus=True),
     "parallel_edge": _parallel_edge_graph,
+    "dangling": _dangling_graph,
 }
 
 #: Three accuracy regimes: the paper default, a relaxed delta, and a
-#: tightened eps (where the fast path's advantage is largest).
+#: tightened eps.
 ACCURACIES = {
     "paper": lambda n: AccuracyParams.paper_defaults(n),
     "loose-delta": lambda n: AccuracyParams.paper_defaults(
@@ -56,10 +70,27 @@ ACCURACIES = {
 }
 
 KS = (1, 10, 100)
+SOURCE = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(graph_name):
+    """``(graph, exact scores of SOURCE)`` for one graph family."""
+    graph = GRAPHS[graph_name]()
+    if graph.dangling == "absorb":
+        exact = ExactSolver(graph).query(SOURCE).estimates
+    else:
+        exact = power_iteration(graph, SOURCE, tol=1e-12).estimates
+    return graph, exact
+
+
+def _answer(graph, k, accuracy_name, **kwargs):
+    accuracy = ACCURACIES[accuracy_name](graph.n)
+    return answer_top_k(graph, SOURCE, k, accuracy=accuracy, **kwargs)
 
 
 # ----------------------------------------------------------------------
-# Property harness: shapes x k x accuracies
+# The oracle contract: graph families x k x accuracies
 # ----------------------------------------------------------------------
 class TestTopKProperties:
     @pytest.mark.parametrize("accuracy_name", sorted(ACCURACIES))
@@ -67,64 +98,62 @@ class TestTopKProperties:
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_separated_set_matches_full_solve(self, graph_name, k,
                                               accuracy_name):
-        """separated=True => exact set agreement with the full solve;
-        otherwise (auto mode) the fallback IS the full solve."""
-        graph = GRAPHS[graph_name]()
-        accuracy = ACCURACIES[accuracy_name](graph.n)
-        source = 3
-        answer = answer_top_k(graph, source, k, accuracy=accuracy,
-                              seed=21, mode="auto")
-        full = resacc(graph, source, accuracy=accuracy, seed=21)
-        full_nodes, full_values = full.top_k(k)
+        """separated <=> bound_gap > 0, and a separated set is exactly
+        the exact solve's top-k set."""
+        graph, exact = _oracle(graph_name)
+        answer = _answer(graph, k, accuracy_name)
         assert isinstance(answer, TopKAnswer)
+        assert answer.path == "topk"
         assert answer.k == min(k, graph.n)
         assert len(answer.nodes) == answer.k
+        assert answer.separated == (answer.bound_gap > 0)
         if answer.separated:
-            assert answer.path == "topk"
-            assert set(answer.nodes.tolist()) == set(full_nodes.tolist()), (
+            want = set(top_k_order(exact, k).tolist())
+            assert set(answer.nodes.tolist()) == want, (
                 f"{graph_name}/k={k}/{accuracy_name}: separated top-k set "
-                f"diverges from the full solve"
+                f"diverges from the exact solve"
             )
-        else:
-            # auto mode fell back to the full solve with the same seed:
-            # byte-identical nodes and values.
-            assert answer.path == "full"
-            assert answer.nodes.tobytes() == full_nodes.tobytes()
-            assert answer.values.tobytes() == full_values.tobytes()
 
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_bounds_contain_exact_scores(self, graph_name, k):
-        """The advertised envelope holds: lower <= pi(s, v) <= upper
-        for the returned nodes, and lower <= value <= upper."""
-        graph = GRAPHS[graph_name]()
-        accuracy = ACCURACIES["loose-delta"](graph.n)
-        answer = topk_solve(graph, 3, k, accuracy=accuracy, seed=5)
-        truth = ExactSolver(graph).query(3).estimates
-        nodes = answer.nodes
-        assert np.all(answer.lower <= answer.values + 1e-12)
-        assert np.all(answer.values <= answer.upper + 1e-12)
-        assert np.all(answer.lower - 1e-12 <= truth[nodes]), (
-            f"{graph_name}/k={k}: lower bound above the exact score"
-        )
-        assert np.all(truth[nodes] <= answer.upper + 1e-12), (
-            f"{graph_name}/k={k}: upper bound below the exact score"
-        )
+        """lower <= pi(s, v) <= upper on every returned node, with the
+        deterministic meaning lower = value = reserve, upper - lower =
+        bound_width = r_sum."""
+        graph, exact = _oracle(graph_name)
+        for accuracy_name in sorted(ACCURACIES):
+            answer = _answer(graph, k, accuracy_name)
+            truth = exact[answer.nodes]
+            assert np.all(answer.lower - 1e-12 <= truth), (
+                f"{graph_name}/k={k}/{accuracy_name}: lower bound above "
+                f"the exact score"
+            )
+            assert np.all(truth <= answer.upper + 1e-12), (
+                f"{graph_name}/k={k}/{accuracy_name}: upper bound below "
+                f"the exact score"
+            )
+            assert answer.lower.tobytes() == answer.values.tobytes()
+            assert answer.bound_width == answer.r_sum
+            np.testing.assert_allclose(answer.upper - answer.lower,
+                                       answer.r_sum, rtol=0, atol=1e-15)
+            assert answer.walks_used == 0
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_repeated_calls_are_byte_identical(self, graph_name):
-        graph = GRAPHS[graph_name]()
-        accuracy = ACCURACIES["paper"](graph.n)
-        first = answer_top_k(graph, 7, 10, accuracy=accuracy, seed=13)
-        second = answer_top_k(graph, 7, 10, accuracy=accuracy, seed=13)
-        assert first.separated == second.separated
-        assert first.path == second.path
-        assert first.nodes.tobytes() == second.nodes.tobytes()
-        assert first.values.tobytes() == second.values.tobytes()
-        assert first.lower.tobytes() == second.lower.tobytes()
-        assert first.upper.tobytes() == second.upper.tobytes()
-        assert first.walks_used == second.walks_used
-        assert first.pushes == second.pushes
+        """Pure function of (graph, source, k, accuracy): the seed is
+        accepted and ignored."""
+        graph, _ = _oracle(graph_name)
+        for k in KS:
+            for accuracy_name in sorted(ACCURACIES):
+                first = _answer(graph, k, accuracy_name, seed=13)
+                second = _answer(graph, k, accuracy_name, seed=14)
+                assert first.separated == second.separated
+                assert first.bound_gap == second.bound_gap
+                assert first.nodes.tobytes() == second.nodes.tobytes()
+                assert first.values.tobytes() == second.values.tobytes()
+                assert first.lower.tobytes() == second.lower.tobytes()
+                assert first.upper.tobytes() == second.upper.tobytes()
+                assert first.pushes == second.pushes
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +161,7 @@ class TestTopKProperties:
 # ----------------------------------------------------------------------
 class TestTopKAnswer:
     def test_k_at_least_n_is_trivially_separated(self, tiny_graph):
-        answer = topk_solve(tiny_graph, 0, tiny_graph.n + 5, seed=1)
+        answer = answer_top_k(tiny_graph, 0, tiny_graph.n + 5)
         assert answer.separated is True
         assert answer.k == tiny_graph.n
         assert answer.bound_gap == float("inf")
@@ -141,24 +170,18 @@ class TestTopKAnswer:
     def test_answer_reports_work_spent(self):
         graph = GRAPHS["ba"]()
         accuracy = ACCURACIES["tight-eps"](graph.n)
-        answer = topk_solve(graph, 0, 1, accuracy=accuracy, seed=2)
+        answer = answer_top_k(graph, 0, 1, accuracy=accuracy)
         assert answer.pushes > 0
         assert answer.rounds >= 1
-        assert answer.bound_width is not None and answer.bound_width >= 0
-        assert answer.extras["full_walk_budget"] >= answer.walks_used
+        assert answer.walks_used == 0
+        assert 0.0 <= answer.bound_width <= accuracy.eps * accuracy.delta
 
     def test_tuple_unpacking_back_compat(self):
         graph = GRAPHS["grid"]()
-        answer = answer_top_k(graph, 0, 5, seed=3)
+        answer = answer_top_k(graph, 0, 5)
         nodes, values = answer
         assert nodes.tobytes() == answer.nodes.tobytes()
         assert values.tobytes() == answer.values.tobytes()
-
-    def test_fast_mode_never_falls_back(self):
-        graph = GRAPHS["power_law"]()
-        answer = answer_top_k(graph, 2, 50, seed=4, mode="fast",
-                              max_rounds=2)
-        assert answer.path == "topk"
 
     def test_full_mode_matches_resacc(self):
         graph = GRAPHS["ba"]()
@@ -173,14 +196,16 @@ class TestTopKAnswer:
         assert answer.values.tobytes() == want_values.tobytes()
 
     def test_invalid_mode_raises(self, tiny_graph):
-        with pytest.raises(ParameterError):
-            answer_top_k(tiny_graph, 0, 2, mode="warp")
+        for mode in ("warp", "fast"):
+            with pytest.raises(ParameterError):
+                answer_top_k(tiny_graph, 0, 2, mode=mode)
 
     def test_invalid_k_raises(self, tiny_graph):
-        with pytest.raises(ParameterError):
-            topk_solve(tiny_graph, 0, 0)
-        with pytest.raises(ParameterError):
-            topk_solve(tiny_graph, 0, -3)
+        for mode in ("auto", "full"):
+            with pytest.raises(ParameterError):
+                answer_top_k(tiny_graph, 0, 0, mode=mode)
+            with pytest.raises(ParameterError):
+                answer_top_k(tiny_graph, 0, -3, mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -203,9 +228,21 @@ class TestTieBreaking:
         """Edgeless graph: every non-source score is exactly 0, so the
         listing after the source must be 0, 1, 2, ... by node id."""
         graph = from_edges(8, [])
-        answer = topk_solve(graph, 3, 5, seed=8)
+        answer = answer_top_k(graph, 3, 5)
         assert answer.nodes[0] == 3              # pi(s, s) = 1
         assert answer.nodes[1:].tolist() == [0, 1, 2, 4]
         full = resacc(graph, 3, seed=8)
         nodes, _ = full.top_k(5)
         assert nodes.tolist() == answer.nodes.tolist()
+
+    def test_exact_ties_never_separate(self):
+        """On a torus the source's four neighbours score exactly alike:
+        k = 2 splits that tie, so no refinement can certify the set, yet
+        the returned values still meet Definition 1."""
+        graph, exact = _oracle("grid")
+        accuracy = ACCURACIES["paper"](graph.n)
+        answer = answer_top_k(graph, SOURCE, 2, accuracy=accuracy)
+        assert answer.separated is False
+        assert answer.bound_gap <= 0
+        truth = exact[answer.nodes]
+        assert np.all(np.abs(truth - answer.values) <= accuracy.eps * truth)
