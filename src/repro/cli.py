@@ -176,8 +176,7 @@ def build_parser():
                              "speedup reaches this")
     topk_cmd = sub.add_parser(
         "topk",
-        help="benchmark the early-terminating top-k fast path vs. the "
-             "full solve",
+        help="benchmark the top-k envelope vs. the full solve",
     )
     topk_cmd.add_argument("dataset", help="dataset name from the catalog")
     topk_cmd.add_argument("--k", type=int, default=4,
@@ -185,12 +184,8 @@ def build_parser():
     topk_cmd.add_argument("--sources", type=int, default=20,
                           help="number of deterministic random sources")
     topk_cmd.add_argument("--eps", type=float, default=0.05,
-                          help="relative accuracy of the full-solve "
-                               "baseline (the fast path certifies the "
-                               "same set; see docs/topk.md)")
-    topk_cmd.add_argument("--guard-factor", type=float, default=1.0,
-                          help="separation guard as a multiple of the "
-                               "full solve's own noise floor")
+                          help="relative accuracy of both paths "
+                               "(see docs/topk.md)")
     topk_cmd.add_argument("--scale", type=float, default=1.0,
                           help="dataset scale factor")
     topk_cmd.add_argument("--seed", type=int, default=0)
@@ -200,9 +195,8 @@ def build_parser():
                           help="write the benchmark document "
                                "(e.g. BENCH_topk.json)")
     topk_cmd.add_argument("--min-speedup", type=float, default=None,
-                          help="exit non-zero unless the end-to-end "
-                               "fast-path speedup (fallbacks charged) "
-                               "reaches this")
+                          help="exit non-zero unless the envelope's "
+                               "speedup over the full solve reaches this")
     dyn_cmd = sub.add_parser(
         "dynamic",
         help="benchmark incremental cache retention under a mixed "
@@ -679,8 +673,7 @@ def _run_topk_bench(args):
         graph = catalog.load(args.dataset, scale=args.scale)
         doc = topk_benchmark(
             graph, k=args.k, num_sources=args.sources, eps=args.eps,
-            seed=args.seed, guard_factor=args.guard_factor,
-            delta_scale=args.delta_scale,
+            seed=args.seed, delta_scale=args.delta_scale,
         )
     except ParameterError as exc:
         print(str(exc), file=sys.stderr)
@@ -688,15 +681,13 @@ def _run_topk_bench(args):
     workload = doc["workload"]
     print(f"{args.dataset} (n={graph.n}, m={graph.m})  k={doc['k']}, "
           f"{workload['num_sources']} sources, "
-          f"eps={doc['accuracy']['eps']:g}, "
-          f"guard_factor={doc['guard_factor']:g}")
+          f"eps={doc['accuracy']['eps']:g}")
     print(f"  full solve         {doc['full_seconds']:8.3f} s")
-    print(f"  fast path          {doc['fast_seconds']:8.3f} s  "
-          f"({doc['speedup']:.2f}x, fallbacks charged)")
+    print(f"  envelope           {doc['fast_seconds']:8.3f} s  "
+          f"({doc['speedup']:.2f}x)")
     print(f"  separated: {doc['separated_count']}/"
-          f"{workload['num_sources']}  "
-          f"(fallbacks: {doc['fallback_count']})")
-    print(f"  separated sets match full solve: {doc['agreement']}")
+          f"{workload['num_sources']}")
+    print(f"  separated sets match the exact solve: {doc['agreement']}")
     if args.json:
         from pathlib import Path
 
@@ -707,7 +698,7 @@ def _run_topk_bench(args):
                         encoding="utf-8")
         print(f"  written to {path}")
     if not doc["agreement"]:
-        print(f"separated top-k sets diverge from the full solve on "
+        print(f"separated top-k sets diverge from the exact solve on "
               f"sources {doc['disagreements']}", file=sys.stderr)
         return 1
     if args.min_speedup is not None and doc["speedup"] < args.min_speedup:

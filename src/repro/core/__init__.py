@@ -29,12 +29,8 @@ from repro.core.solvers import (
     get_solver,
     resolve_solver,
 )
-from repro.core.topk import TopKResult, topk_certified, topk_ssrwr
-from repro.core.topk_solver import (
-    TopKAnswer,
-    answer_top_k,
-    topk_solve,
-)
+from repro.core.topk import TopKResult, topk_ssrwr
+from repro.core.topk_solver import TopKAnswer, answer_top_k
 from repro.core.variants import (
     no_loop_resacc,
     no_ofd_resacc,
@@ -77,7 +73,5 @@ __all__ = [
     "resolve_solver",
     "save_result",
     "top_k_order",
-    "topk_certified",
-    "topk_solve",
     "topk_ssrwr",
 ]

@@ -17,7 +17,10 @@ top of the PR 4 kernel machinery:
 * **Global stage.**  Full-frontier power sweeps over the cached
   transpose (``residue += A^T @ share``) via
   :func:`repro.push.kernels.power_block_loop`, run until the residue
-  mass ``r_sum`` drops to ``tol = eps * delta``.
+  mass ``r_sum`` drops to ``tol = eps * delta``.  :func:`push_state`
+  runs both stages and returns the in-place :class:`PushState`, which a
+  caller can keep draining to a smaller ``tol`` (the top-k envelope of
+  :mod:`repro.core.topk_solver` does).
 
 **Accuracy.**  The push invariant gives ``pi(s, t) = reserve[t] +
 sum_v residue[v] * pi(v, t)`` with non-negative residues, so the
@@ -48,6 +51,7 @@ paper's algorithm stays the default.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,6 +165,69 @@ def _local_rounds(graph, source, reserve, residue, alpha, r_max, *,
                 cand = np.append(cand, source)
 
 
+@dataclass
+class PushState:
+    """One source's solver state, refined in place.
+
+    The push invariant (Eq. 2) ``pi(s, t) = reserve[t] + sum_v
+    residue[v] * pi(v, t)`` holds after every step, so every node's
+    score lies in ``[reserve[t], reserve[t] + r_sum]``; :meth:`drain`
+    shrinks that envelope without redoing earlier work.
+    """
+
+    graph: object
+    source: int
+    alpha: float
+    reserve: np.ndarray
+    residue: np.ndarray
+    cache: object
+    stats: PushStats = field(default_factory=PushStats)
+    r_sum: float = 1.0
+    sweeps: int = 0
+    switched: bool = False
+
+    def drain(self, tol, trace, phase="power"):
+        """Power sweeps until ``r_sum <= tol``, as one trace phase.
+
+        Returns the seconds spent.
+        """
+        trace.begin_phase(phase, self.residue)
+        tic = time.perf_counter()
+        r_sums, sweeps = power_block_loop(
+            self.graph, [self.reserve], [self.residue], self.alpha, tol,
+            np.asarray([self.source], dtype=np.int64), cache=self.cache,
+        )
+        seconds = time.perf_counter() - tic
+        trace.end_phase(self.residue)
+        n_sweeps = int(sweeps[0])
+        self.r_sum = float(r_sums[0])
+        self.sweeps += n_sweeps
+        self.stats.rounds += n_sweeps
+        self.stats.dense_rounds += n_sweeps
+        self.stats.pushes += n_sweeps * self.graph.n
+        return seconds
+
+
+def push_state(graph, source, params, tol, trace):
+    """PowerPush's local stage, then its power stage down to ``tol``.
+
+    Returns ``(state, phase_seconds)``: the :class:`PushState` left at
+    ``r_sum <= tol`` and the ``localpush`` / ``power`` wall times.
+    """
+    state = PushState(graph, int(source), params.alpha,
+                      *init_state(graph, source), get_push_cache(graph))
+    trace.begin_phase("localpush", state.residue)
+    tic = time.perf_counter()
+    state.switched = _local_rounds(
+        graph, state.source, state.reserve, state.residue, params.alpha,
+        params.bound_r_max_f(graph), stats=state.stats, cache=state.cache,
+    )
+    t_local = time.perf_counter() - tic
+    trace.end_phase(state.residue)
+    t_power = state.drain(tol, trace)
+    return state, {"localpush": t_local, "power": t_power}
+
+
 def _make_result(source, reserve, params, stats, r_sum, n_sweeps,
                  switched, tol, seconds, trace):
     return SSRWRResult(
@@ -204,44 +271,17 @@ def powerpush(graph, source, *, params=None, accuracy=None, rng=None,
     params = params or ResAccParams()
     accuracy = accuracy or AccuracyParams.paper_defaults(graph.n)
     tol = _power_tol(accuracy)
-    r_max_f = params.bound_r_max_f(graph)
     caller_trace = trace
     trace = trace if trace is not None else NULL_TRACE
     trace.note(
         algorithm="powerpush", source=int(source), n=graph.n, m=graph.m,
-        alpha=params.alpha, r_max_f=r_max_f, eps=accuracy.eps,
-        delta=accuracy.delta, p_f=accuracy.p_f, tol=tol,
+        alpha=params.alpha, r_max_f=params.bound_r_max_f(graph),
+        eps=accuracy.eps, delta=accuracy.delta, p_f=accuracy.p_f, tol=tol,
     )
-    cache = get_push_cache(graph)
-    stats = PushStats()
-    reserve, residue = init_state(graph, source)
-
-    trace.begin_phase("localpush", residue)
-    tic = time.perf_counter()
-    switched = _local_rounds(graph, int(source), reserve, residue,
-                             params.alpha, r_max_f, stats=stats,
-                             cache=cache)
-    t_local = time.perf_counter() - tic
-    trace.end_phase(residue)
-
-    trace.begin_phase("power", residue)
-    tic = time.perf_counter()
-    r_sums, sweeps = power_block_loop(
-        graph, [reserve], [residue], params.alpha, tol,
-        np.asarray([int(source)], dtype=np.int64), cache=cache,
-    )
-    t_power = time.perf_counter() - tic
-    trace.end_phase(residue)
-    n_sweeps = int(sweeps[0])
-    stats.rounds += n_sweeps
-    stats.dense_rounds += n_sweeps
-    stats.pushes += n_sweeps * graph.n
-
+    state, seconds = push_state(graph, source, params, tol, trace)
     return _make_result(
-        source, reserve, params, stats, r_sums[0], n_sweeps,
-        switched, tol,
-        {"localpush": t_local, "power": t_power},
-        caller_trace,
+        source, state.reserve, params, state.stats, state.r_sum,
+        state.sweeps, state.switched, tol, seconds, caller_trace,
     )
 
 

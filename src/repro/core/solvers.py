@@ -10,15 +10,16 @@ solver supports instead of comparing solver names:
   ``solve`` loop -- ``blocked_batch`` is true exactly then, and the cold
   misses of ``query_batch`` (and :func:`repro.core.multisource.msrwr`)
   go through it;
-* ``topk_fast_path`` lets ``top_k`` run the early-terminating solver of
-  :mod:`repro.core.topk_solver` (built on ResAcc's push + walk
-  envelope); without it top-k answers come from the full vector;
 * ``retention_safe`` lets an incremental engine keep cached answers
   across single-edge mutations (the offset bound of
   :mod:`repro.serving.retention` was derived against ResAcc's contract)
   and solve misses at ``solve_margin * eps`` to create that slack;
 * ``runs_walks`` tells an engine with ``walk_workers > 1`` to build the
   shared walk pool for the solver; entries without it never see one.
+
+Top-k needs no flag: every engine answers ``top_k(mode="auto")`` from
+the PowerPush envelope of :mod:`repro.core.topk_solver`, and
+``mode="full"`` from the entry's ``solve``.
 
 The named entries are ``resacc`` (the paper's algorithm, and what
 ``auto`` resolves to) and ``powerpush``.  A custom callable becomes an
@@ -47,7 +48,6 @@ class SolverEntry:
 
     solve: Callable
     solve_batch: Callable | None = None
-    topk_fast_path: bool = False
     retention_safe: bool = False
     runs_walks: bool = False
 
@@ -81,8 +81,7 @@ def _powerpush_batch(graph, sources, *, accuracy=None, trace=None):
 
 #: The named entries, by resolved name.
 ENTRIES = {
-    "resacc": SolverEntry(_resacc, topk_fast_path=True, retention_safe=True,
-                          runs_walks=True),
+    "resacc": SolverEntry(_resacc, retention_safe=True, runs_walks=True),
     "powerpush": SolverEntry(_powerpush, solve_batch=_powerpush_batch),
 }
 

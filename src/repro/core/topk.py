@@ -78,34 +78,3 @@ def topk_ssrwr(graph, source, k, *, solver=None, eps=0.5, **solver_kwargs):
     return TopKResult(nodes=nodes, values=values, k=k_eff,
                       separation_margin=margin, result=result)
 
-
-def topk_certified(graph, source, k, *, accuracy=None, eps_schedule=None,
-                   seed=0, **resacc_kwargs):
-    """Tighten ``eps`` until the top-K set is contract-certified.
-
-    Runs ResAcc with progressively smaller relative-error targets
-    (default schedule: the configured ``eps``, then /2, /4, /8) and
-    stops at the first run whose separation margin exceeds 1.  Returns
-    the final :class:`TopKResult` (certified or not -- check
-    ``.certified``) annotated with the eps that was used.
-
-    This is the adaptive-precision pattern TopPPR applies internally,
-    reconstructed on top of ResAcc's guarantee.
-    """
-    from repro.core.params import AccuracyParams
-
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    accuracy = accuracy or AccuracyParams.paper_defaults(graph.n)
-    if eps_schedule is None:
-        eps_schedule = [accuracy.eps, accuracy.eps / 2,
-                        accuracy.eps / 4, accuracy.eps / 8]
-    top = None
-    for attempt, eps in enumerate(eps_schedule):
-        tightened = accuracy.with_eps(eps)
-        top = topk_ssrwr(graph, source, k, accuracy=tightened,
-                         seed=seed + attempt, **resacc_kwargs)
-        top.result.extras["certified_eps"] = eps
-        if top.certified:
-            return top
-    return top

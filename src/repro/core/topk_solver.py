@@ -1,138 +1,84 @@
-"""Early-terminating top-k SSRWR solver with per-node score bounds.
+"""Top-k SSRWR answers certified from the PowerPush envelope.
 
 A ``/top_k`` query does not need every node's estimate at Definition-1
 accuracy -- it needs the *set* of the k largest scores, and only enough
-precision to tell the k-th from the (k+1)-th.  :func:`topk_solve`
-exploits that with the bound machinery the push invariant already gives
-us (Fujiwara-style pruning on top of the TopPPR forward-push+sampling
-structure):
+precision to tell the k-th from the (k+1)-th.  :func:`answer_top_k`
+gets both from the bound the push invariant already gives, with no
+random walks (bound pruning in the spirit of K-dash, without its
+index):
 
-* **Deterministic envelope from the push invariant.**  After any number
-  of pushes, Equation 2 holds exactly::
+* **Envelope.**  After any number of pushes Equation 2 holds exactly::
 
       pi(s, t) = reserve(t) + sum_v residue(v) * pi(v, t)
 
-  and since ``0 <= pi(v, t)`` and ``sum_t pi(v, t) = 1``, every node's
-  true score lies in ``[reserve(t), reserve(t) + r_sum]``.
+  and since ``0 <= pi(v, t)`` and ``sum_t pi(v, t) <= 1``, every node's
+  true score lies in ``[reserve(t), reserve(t) + r_sum]``.  PowerPush
+  (:func:`repro.core.powerpush.push_state`) drives ``r_sum`` down to
+  ``eps * delta``, so the reserves alone meet Definition 1.
 
-* **Monte-Carlo confidence intervals.**  A small batch of
-  residue-weighted walks (the remedy-phase sampler,
-  :func:`repro.walks.engine.residue_weighted_walks`) estimates the
-  residual term ``c(t) = sum_v residue(v) * pi(v, t)`` without bias.
-  Each walk's contribution is bounded by ``r_sum / W`` (``W`` walks
-  requested), so Hoeffding and empirical-Bernstein tail bounds give a
-  per-node half-width ``d(t)``; a union bound over the ``n`` nodes and
-  the round schedule keeps the whole run's failure probability at the
-  contract's ``p_f``.  The score interval for ``t`` is then::
+* **Certificate.**  Order the nodes by reserve
+  (:func:`repro.core.result.top_k_order`, ties by ascending node id).
+  The set is certified when the strict gap::
 
-      lower(t) = reserve(t) + max(c_hat(t) - d(t), 0)
-      upper(t) = reserve(t) + min(c_hat(t) + d(t), r_sum)
+      bound_gap = reserve_k - (reserve_{k+1} + r_sum)
 
-* **Separation stopping rule.**  Order nodes by the point estimate
-  (ties broken by node id, see :func:`repro.core.result.top_k_order`),
-  call the chosen set ``S``.  The run stops as soon as::
+  is positive: every member's lower bound then beats every outsider's
+  upper bound, so the set is the exact top-k set -- a deterministic
+  certificate, with no failure probability.
 
-      min lower(t in S)  >  max upper(u not in S)  +  guard
+* **Refinement.**  When the gap is not positive, the power sweeps
+  continue in place on the same ``(reserve, residue)`` down to
+  ``tol / REFINE_FACTOR``; ``r_sum`` shrinks geometrically, so a few
+  refinements separate any pair of distinct scores near the boundary.
+  Each refinement is a ``"topk_refine"`` trace phase, so deadlines fire
+  between them.
 
-  The ``guard`` term accounts for the *full solver's own* Monte-Carlo
-  noise at the boundary value (the full solve this fast path must agree
-  with is itself randomized; two scores closer than its per-node
-  deviation scale can legitimately swap under it).  It is derived from
-  the same Bernstein tail at the full remedy budget
-  ``n_r = r_sum * walk_constant``, which makes the per-walk weight
-  ``1 / walk_constant``::
+* **Ties and the cap.**  Scores that are exactly equal across the
+  boundary can never separate.  After :data:`MAX_REFINEMENTS`
+  refinements the answer is returned with ``separated=False``; its
+  values still meet Definition 1.
 
-      d_full(x) = sqrt(2 x ln(2/p_f) / c) + ln(2/p_f) / (3 c)
-      guard     = guard_factor * (d_full(L_k) + d_full(U_{k+1}))
-
-  so a certificate is only issued when the gap dominates both this
-  run's CI width *and* the full solve's noise floor.
-
-* **Round schedule.**  Pushing is refined in place (a smaller ``r_max``
-  continues from the previous fixpoint, so early coarse rounds cost
-  almost nothing extra) down to the paper's ``r_max_f``; the walk
-  budget grows geometrically per round, targeted at the current gap and
-  capped at the full Theorem-3 budget ``accuracy.num_walks(r_sum)`` --
-  the point at which the fast path has spent as many walks as the full
-  solve would, and gives up (``separated=False``).  Once the push
-  threshold stops moving the residual is frozen, so walk batches from
-  consecutive rounds all estimate the same correction and are
-  *accumulated* (walk-count-weighted average) rather than redrawn --
-  late separations cost exactly their final budget, not a geometric
-  multiple of it.
-
-Callers that must return *some* answer use :func:`answer_top_k`, which
-falls back to the full ResAcc solve when separation is not reached; the
-returned :class:`TopKAnswer` carries ``path`` saying which solver
-produced the scores.  See ``docs/topk.md``.
+See ``docs/topk.md``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.params import AccuracyParams, ResAccParams
+from repro.core.powerpush import push_state
 from repro.core.resacc import resacc
 from repro.core.result import top_k_order
 from repro.errors import ParameterError
 from repro.obs.trace import NULL_TRACE
-from repro.push.forward import forward_push_loop, init_state
 
-#: Trace phase name of one bound-refinement round (push + walks + check).
-TOPK_PHASE = "topk_round"
+#: Trace phase name of one envelope refinement.
+TOPK_PHASE = "topk_refine"
 
-#: Multipliers on ``r_max_f`` for the push-refinement schedule; the last
-#: round always pushes to the paper threshold itself.  In-place
-#: refinement means the whole schedule costs barely more than pushing to
-#: ``r_max_f`` directly -- the coarse rounds just give early chances to
-#: stop before the walk budget grows.
-PUSH_SCHEDULE = (64.0, 8.0, 1.0)
+#: Each refinement divides the stopping mass ``tol`` by this factor.
+REFINE_FACTOR = 8.0
 
-#: Default number of bound-refinement rounds (push schedule followed by
-#: walk-only rounds at ``r_max_f``).  Walk-only rounds reuse the
-#: accumulated batches, so extra rounds are close to free and mostly buy
-#: additional early chances to stop.
-DEFAULT_MAX_ROUNDS = 12
-
-#: Per-round growth floor of the walk budget.
-WALK_GROWTH = 4.0
-
-#: Minimum walks spent at the final push threshold before the solver may
-#: declare a query hopeless and bail to the fallback instead of growing
-#: the budget further.
-HOPELESS_MIN_WALKS = 4096
-
-#: Largest single-round multiplication of the walk budget.  The
-#: gap-targeted projection may ask for a huge jump off a noisy early
-#: estimate; capping the jump keeps intermediate separation checkpoints
-#: (nearly free under batch accumulation) where an overshooting
-#: projection would have paid for the whole jump at once.
-MAX_WALK_JUMP = 16.0
-
-#: A query is declared hopeless when the projected decisive walk budget
-#: exceeds this fraction of the full Theorem-3 budget: past that point a
-#: certificate cannot beat simply running the full solve, and failing
-#: *at* the full budget would cost twice the fallback.
-HOPELESS_BUDGET_FRACTION = 0.75
+#: Refinements before an unseparated answer is returned as is.
+MAX_REFINEMENTS = 4
 
 
 @dataclass
 class TopKAnswer:
-    """Result of a top-k query, from either the fast or the full path.
+    """Result of a top-k query, from the envelope or the full solve.
 
     ``nodes`` / ``values`` are the answer (descending score, equal
-    scores broken by ascending node id).  ``lower`` / ``upper`` bracket
-    each returned node's true score when ``path == "topk"`` (on the
-    full path they repeat the point estimates).  ``separated`` says the
-    fast solver certified the *set*; ``bound_gap`` is the certified
-    margin ``L_k - U_{k+1}`` and ``bound_width`` the widest interval
-    among the returned nodes (``None`` on the full path).  ``pushes`` /
-    ``walks_used`` / ``rounds`` count the work actually spent --
-    including a failed fast attempt when the full path answered.
+    scores broken by ascending node id).  On the envelope path
+    (``path == "topk"``) ``lower = values = reserve`` and ``upper =
+    reserve + r_sum`` bracket each returned node's true score,
+    ``bound_width = r_sum``, and ``bound_gap`` is the certificate
+    margin ``reserve_k - (reserve_{k+1} + r_sum)``; ``separated`` is
+    true exactly when it is positive.  On the full path ``lower`` /
+    ``upper`` repeat the point estimates and the bound fields are
+    ``None``.  ``pushes`` / ``walks_used`` / ``rounds`` count the work
+    spent (``rounds`` = power stages run, refinements included).
 
     Iterating yields ``(nodes, values)`` so existing
     ``nodes, values = engine.top_k(...)`` call sites keep working.
@@ -145,8 +91,8 @@ class TopKAnswer:
     lower: np.ndarray
     upper: np.ndarray
     separated: bool
-    #: ``"topk"`` when the early-terminating solver answered,
-    #: ``"full"`` when the full solve did.
+    #: ``"topk"`` when the envelope answered, ``"full"`` when the full
+    #: solve did.
     path: str
     bound_gap: float | None
     bound_width: float | None
@@ -162,11 +108,6 @@ class TopKAnswer:
         yield self.nodes
         yield self.values
 
-    @property
-    def certified(self):
-        """Whether the set membership carries a separation certificate."""
-        return self.separated
-
     def __repr__(self):
         return (f"TopKAnswer(source={self.source}, k={self.k}, "
                 f"path={self.path!r}, separated={self.separated}, "
@@ -174,387 +115,95 @@ class TopKAnswer:
                 f"pushes={self.pushes})")
 
 
-def _full_solve_noise(x, accuracy):
-    """Bernstein-scale deviation of the *full* remedy phase at value ``x``.
-
-    The full solve runs ``n_r = r_sum * c`` walks of weight at most
-    ``r_sum / n_r = 1/c`` (``c = accuracy.walk_constant``), so its
-    per-node deviation at a node of score ``x`` concentrates at
-    ``sqrt(2 x ln(2/p_f) / c) + ln(2/p_f) / (3c)`` -- independent of
-    ``r_sum``.  The separation guard refuses a certificate for gaps
-    below this scale, because the full solve itself could order such a
-    pair either way.
-    """
-    log_term = math.log(2.0 / accuracy.p_f)
-    c = accuracy.walk_constant
-    return math.sqrt(2.0 * max(x, 0.0) * log_term / c) + log_term / (3.0 * c)
-
-
-def topk_solve(graph, source, k, *, params=None, accuracy=None, seed=0,
-               max_rounds=DEFAULT_MAX_ROUNDS, guard_factor=1.0,
-               trace=None):
-    """Answer a top-k query with bound-based early termination.
-
-    Parameters
-    ----------
-    graph / source / params / accuracy / seed:
-        As for :func:`repro.core.resacc.resacc`.  Walk randomness per
-        round ``j`` is drawn from ``default_rng([seed, j])``, so the
-        answer is a pure function of ``(graph, source, k, accuracy,
-        seed)`` -- byte-stable across runs, workers and engines.
-    k:
-        Size of the requested set (``>= 1``; clamped to ``n``).
-    max_rounds:
-        Bound-refinement rounds before giving up (the walk budget also
-        naturally exhausts at the full Theorem-3 budget).
-    guard_factor:
-        Multiplier on the full-solve-noise guard in the stopping rule.
-        Raising it makes certificates rarer but safer; 0 disables the
-        guard (not recommended -- the certificate then only covers the
-        *true* ranking, not agreement with a randomized full solve).
-    trace:
-        Optional :class:`repro.obs.QueryTrace`; each round appears as a
-        ``"topk_round"`` phase carrying push/walk counters plus
-        ``topk_rounds`` / ``topk_candidates``, and the outcome is noted
-        as ``topk_separated`` / ``topk_gap``.
-
-    Returns a :class:`TopKAnswer` with ``path="topk"``.  ``separated``
-    is ``False`` when the budget ran out before the set was certified;
-    the bounds in the answer are still valid.
-    """
-    k = int(k)
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not 0 <= source < graph.n:
-        raise ParameterError(f"source {source} out of range for n={graph.n}")
-    params = params or ResAccParams()
-    accuracy = accuracy or AccuracyParams.paper_defaults(graph.n)
-    caller_trace = trace
-    trace = trace if trace is not None else NULL_TRACE
-    max_rounds = max(int(max_rounds), len(PUSH_SCHEDULE))
-    k_eff = min(k, graph.n)
-
-    r_max_f = params.bound_r_max_f(graph)
-    # Union-bound budget: every round re-tests all n nodes.
-    log_term = math.log(2.0 * graph.n * max_rounds / accuracy.p_f)
-
+def _envelope(graph, source, k, params, accuracy, trace):
+    """The certified (or capped) envelope answer; ``path="topk"``."""
+    tol = float(accuracy.eps) * float(accuracy.delta)
     trace.note(
-        algorithm="topk", source=int(source), n=graph.n, m=graph.m,
-        k=k_eff, seed=int(seed), alpha=params.alpha, r_max_f=r_max_f,
-        eps=accuracy.eps, delta=accuracy.delta, p_f=accuracy.p_f,
-        topk_guard_factor=float(guard_factor),
+        algorithm="topk", source=int(source), n=graph.n, m=graph.m, k=k,
+        alpha=params.alpha, eps=accuracy.eps, delta=accuracy.delta,
+        tol=tol,
     )
-
-    reserve, residue = init_state(graph, source)
-    total_pushes = 0
-    total_walks = 0
-    separated = False
-    hopeless = False
-    gap = -math.inf
-    guard = math.inf
-    slack = math.inf
-    needed = 0.0
-    candidates = graph.n
-    est = reserve.copy()
-    lower = reserve.copy()
-    upper = reserve.copy()
-    r_sum = 1.0
-    walk_target = 0
-    # Walk accumulator over rounds that share one push fixpoint: each
-    # batch is an unbiased estimate of the same residual correction, so
-    # instead of redrawing while the budget grows, batches are combined
-    # by inverse-variance weights ``lambda_r = (1/w_max_r) / H`` with
-    # ``H = sum_r 1/w_max_r`` (a batch's variance proxy is its max
-    # per-walk weight ``w_max_r``, since ``Var <= w_max_r * c(t)``).
-    # Every batch's largest single contribution is then exactly
-    # ``lambda_r * w_max_r = 1/H``, which collapses both tail bounds to
-    # a single scalar ``V = 1/H``.
-    acc_mass = None
-    acc_walks = 0
-    acc_h = 0.0
-
-    rounds_run = 0
-    for round_index in range(max_rounds):
-        rounds_run += 1
-        trace.begin_phase(TOPK_PHASE, residue)
-
-        schedule_pos = min(round_index, len(PUSH_SCHEDULE) - 1)
-        r_max = r_max_f * PUSH_SCHEDULE[schedule_pos]
-        at_final = r_max <= r_max_f
-        # In-place refinement: a smaller r_max continues from the
-        # previous fixpoint, so repeated rounds never redo push work.
-        stats = forward_push_loop(
-            graph, reserve, residue, params.alpha, r_max,
-            source=source, method=params.push_method, trace=trace,
-        )
-        total_pushes += stats.pushes
-        if stats.pushes or acc_mass is None:
-            # The residual changed: prior walk batches estimate a stale
-            # correction and must be discarded.  The budget schedule
-            # (``walk_target``) deliberately survives the reset, so the
-            # first batch at a refined threshold is already sized by
-            # what the coarser rounds learned.
-            acc_mass = np.zeros(graph.n, dtype=np.float64)
-            acc_walks = 0
-            acc_h = 0.0
-        r_sum = float(residue[residue > 0.0].sum())
-
-        full_budget = max(accuracy.num_walks(r_sum), 1)
-        walk_target = _next_walk_target(
-            max(walk_target, acc_walks), full_budget, k_eff,
-            slack=slack if at_final else math.inf,
-            needed=needed if at_final else 0.0,
-        )
-        if r_sum > 0.0 and walk_target > acc_walks:
-            rng = np.random.default_rng([int(seed), round_index])
-            mass, batch_walks, batch_wmax = _walk_batch(
-                graph, residue, walk_target - acc_walks, r_sum,
-                params.alpha, rng, source=source, trace=trace,
-            )
-            total_walks += batch_walks
-            acc_mass += mass / batch_wmax
-            acc_walks += batch_walks
-            acc_h += 1.0 / batch_wmax
-        if acc_walks > 0:
-            c_hat = acc_mass / acc_h
-            # ``V = 1/H`` plays the role a single batch's ``w_max``
-            # would: Hoeffding uses ``sum_i b_i^2 <= r_sum * V`` (each
-            # batch's weights sum to r_sum), empirical Bernstein the
-            # variance proxy ``V * c_up`` -- tighter wherever the
-            # (upper-bounded) estimate is small.
-            v = 1.0 / acc_h
-            hoeff = math.sqrt(r_sum * v * log_term / 2.0)
-            c_up = np.minimum(c_hat + hoeff, r_sum)
-            bern = np.sqrt(2.0 * v * c_up * log_term) + v * log_term / 3.0
-            d = np.minimum(hoeff, bern)
-            est = reserve + c_hat
-            lower = reserve + np.maximum(c_hat - d, 0.0)
-            upper = reserve + np.minimum(c_hat + d, r_sum)
-        else:
-            # Residue fully drained: the push invariant is exact.
-            est = reserve.copy()
-            lower = reserve.copy()
-            upper = reserve.copy()
-
-        order = top_k_order(est, k_eff)
-        if k_eff >= graph.n:
-            separated = True
+    state, _ = push_state(graph, source, params, tol, trace)
+    reserve = state.reserve
+    refinements = 0
+    while True:
+        order = top_k_order(reserve, k + 1)
+        if k >= graph.n:
             gap = math.inf
-            guard = 0.0
-            candidates = graph.n
-            trace.end_phase(residue, topk_rounds=1,
-                            topk_candidates=int(candidates))
+        else:
+            gap = float(reserve[order[k - 1]]
+                        - (reserve[order[k]] + state.r_sum))
+        if gap > 0 or refinements == MAX_REFINEMENTS or state.r_sum == 0:
             break
-        chosen = np.zeros(graph.n, dtype=bool)
-        chosen[order] = True
-        kth_lower = float(lower[order].min())
-        runner_upper = float(upper[~chosen].max())
-        gap = kth_lower - runner_upper
-        guard = guard_factor * (_full_solve_noise(kth_lower, accuracy)
-                                + _full_solve_noise(runner_upper, accuracy))
-        candidates = int((upper >= kth_lower).sum())
-        trace.end_phase(residue, topk_rounds=1,
-                        topk_candidates=int(candidates))
-        if gap > guard:
-            separated = True
-            break
-        # Point-estimate projection of the best reachable gap: the CI
-        # widths vanish as the budget grows, but the gap itself
-        # converges to est_k - est_{k+1}.  `slack` is the total width
-        # currently separating us from that limit; `needed` is how much
-        # of the projected gap exceeds the guard.
-        est_kth = float(est[order[-1]])
-        est_runner = float(est[~chosen].max())
-        slack = (est_kth - kth_lower) + (runner_upper - est_runner)
-        needed = (est_kth - est_runner) - guard
-        if at_final and acc_walks >= min(HOPELESS_MIN_WALKS, full_budget):
-            if needed <= 0.0:
-                # Even exact residual estimates would leave the gap
-                # below the full solve's noise floor: stop paying for
-                # walks the fallback will redo anyway.
-                hopeless = True
-                break
-            projected = acc_walks * (slack / needed) ** 2 * 1.1
-            if projected >= HOPELESS_BUDGET_FRACTION * full_budget:
-                # Separation is projected to cost nearly the full
-                # solve's own budget; certifying there saves nothing,
-                # and *failing* there costs double.
-                hopeless = True
-                break
-        if at_final and walk_target >= full_budget:
-            # Spent the full solve's own walk budget at the final push
-            # threshold without separating: more rounds cannot help.
-            break
-
-    order = top_k_order(est, k_eff)
-    values = est[order]
-    node_lower = lower[order]
-    node_upper = upper[order]
-    width = float((node_upper - node_lower).max()) if k_eff else 0.0
-    trace.note(topk_separated=bool(separated), topk_gap=float(gap),
-               topk_hopeless=bool(hopeless),
-               topk_guard=float(guard) if math.isfinite(guard) else guard,
-               topk_walk_target=int(walk_target))
+        tol /= REFINE_FACTOR
+        state.drain(tol, trace, TOPK_PHASE)
+        refinements += 1
+    order = order[:k]
+    values = reserve[order]
+    trace.note(topk_separated=bool(gap > 0), topk_gap=gap,
+               topk_refinements=refinements)
     return TopKAnswer(
-        source=int(source), k=k_eff, nodes=order, values=values,
-        lower=node_lower, upper=node_upper, separated=bool(separated),
-        path="topk", bound_gap=float(gap), bound_width=width,
-        alpha=params.alpha, walks_used=total_walks, pushes=total_pushes,
-        rounds=rounds_run, r_sum=r_sum,
-        extras={
-            "r_max_f": r_max_f,
-            "candidates": candidates,
-            "guard": float(guard) if math.isfinite(guard) else float("inf"),
-            "full_walk_budget": accuracy.num_walks(r_sum),
-            "hopeless": hopeless,
-        },
-        trace=caller_trace,
+        source=int(source), k=k, nodes=order, values=values,
+        lower=values.copy(), upper=values + state.r_sum,
+        separated=bool(gap > 0), path="topk", bound_gap=gap,
+        bound_width=state.r_sum, alpha=params.alpha, walks_used=0,
+        pushes=state.stats.pushes, rounds=1 + refinements,
+        r_sum=state.r_sum,
+        extras={"tol": tol, "sweeps": state.sweeps,
+                "refinements": refinements},
     )
 
 
-def _next_walk_target(previous, full_budget, k, *, slack, needed):
-    """The *cumulative* walk budget for the next round.
-
-    Starts small (recommendation-shaped queries often separate after a
-    few hundred walks), then at least quadruples per round.  While the
-    push threshold still shrinks, each round's walks are discarded (the
-    residual changed), so geometric growth bounds the total waste at a
-    constant factor; once the threshold has reached ``r_max_f`` the
-    accumulator keeps every batch and a round only draws the
-    *difference* to this target.  At that point the previous round's
-    separation shortfall is known (``slack`` = CI width standing between
-    the current gap and its point-estimate limit, ``needed`` = how much
-    of that limit exceeds the guard); since CI widths shrink as
-    ``1/sqrt(W)``, jumping straight to ``W * (slack/needed)^2`` reaches
-    the decisive budget in one round instead of several.  Everything is
-    clamped to the full Theorem-3 budget, the point where the fast path
-    has no cost advantage left.
-    """
-    floor = max(256, 16 * int(k))
-    if previous <= 0:
-        target = floor
-    else:
-        target = max(int(previous * WALK_GROWTH), floor)
-        if needed > 0.0 and math.isfinite(slack) and slack > 0.0:
-            projected = int(previous * (slack / needed) ** 2 * 1.1)
-            target = max(target, min(projected, max(full_budget, 1)))
-        # Projections off few walks are noisy; never leap more than
-        # MAX_WALK_JUMP in one round, so an overshooting projection
-        # still passes (cheap, accumulated) checkpoints on the way up.
-        target = min(target, max(floor, int(previous * MAX_WALK_JUMP)))
-    return int(min(max(target, 1), max(full_budget, 1)))
-
-
-def _walk_batch(graph, residue, batch_target, r_sum, alpha, rng, *,
-                source, trace):
-    """One remedy-style walk batch (serial, deterministic).
-
-    Same allocation as :func:`repro.walks.engine.residue_weighted_walks`
-    -- ``ceil(residue[v] * batch_target / r_sum)`` walks from each
-    positive-residue node, each depositing ``residue[v] / n_r(v)`` on
-    its terminal -- but additionally returns the batch's exact maximum
-    per-walk weight, which the round accumulator needs for its tail
-    bounds (the nominal ``r_sum / batch_target`` bound is loose once the
-    per-node ceil dominates).  Returns ``(mass, walks_used, w_max)``
-    with ``mass`` an unbiased estimate of the residual correction
-    ``sum_v residue[v] * pi(v, .)``.
-    """
-    from repro.walks.engine import walk_terminal_mass
-
-    positive = np.flatnonzero(residue > 0.0)
-    r_pos = residue[positive]
-    per_node = np.ceil(r_pos * (float(batch_target) / r_sum))
-    per_node = np.maximum(per_node, 1.0).astype(np.int64)
-    node_weight = r_pos / per_node
-    starts = np.repeat(positive, per_node)
-    weights = np.repeat(node_weight, per_node)
-    walks_used = int(per_node.sum())
-    mass = walk_terminal_mass(graph, starts, alpha, rng, weights=weights,
-                              source=source)
-    if trace is not NULL_TRACE:
-        trace.add_counters(walks=walks_used,
-                           walk_origins=int(positive.size))
-    return mass, walks_used, float(node_weight.max())
-
-
-def answer_from_result(result, k, *, fast_attempt=None):
+def answer_from_result(result, k):
     """Wrap a full-solve :class:`~repro.core.result.SSRWRResult` as a
-    :class:`TopKAnswer` with ``path="full"``.
-
-    Used for the fallback path and for ``mode="full"`` queries; when a
-    failed fast attempt preceded the full solve its spent work is folded
-    into the counters and its diagnostics kept under
-    ``extras["fast_attempt"]``.
-    """
+    :class:`TopKAnswer` with ``path="full"`` (``mode="full"``)."""
     k_eff = min(int(k), result.estimates.shape[0])
     nodes, values = result.top_k(k_eff)
-    extras = {"algorithm": result.algorithm}
-    walks = int(result.walks_used)
-    pushes = int(result.pushes)
-    rounds = 0
-    if fast_attempt is not None:
-        walks += fast_attempt.walks_used
-        pushes += fast_attempt.pushes
-        rounds = fast_attempt.rounds
-        extras["fast_attempt"] = {
-            "rounds": fast_attempt.rounds,
-            "walks_used": fast_attempt.walks_used,
-            "pushes": fast_attempt.pushes,
-            "bound_gap": fast_attempt.bound_gap,
-            "bound_width": fast_attempt.bound_width,
-        }
     return TopKAnswer(
         source=int(result.source), k=k_eff, nodes=nodes, values=values,
         lower=values.copy(), upper=values.copy(), separated=False,
         path="full", bound_gap=None, bound_width=None,
-        alpha=result.alpha, walks_used=walks, pushes=pushes,
-        rounds=rounds, r_sum=float(result.extras.get("r_sum", 0.0)),
-        extras=extras, trace=result.trace,
+        alpha=result.alpha, walks_used=int(result.walks_used),
+        pushes=int(result.pushes),
+        r_sum=float(result.extras.get("r_sum", 0.0)),
+        extras={"algorithm": result.algorithm}, trace=result.trace,
     )
 
 
 def answer_top_k(graph, source, k, *, params=None, accuracy=None, seed=0,
-                 mode="auto", max_rounds=DEFAULT_MAX_ROUNDS,
-                 guard_factor=1.0, trace=None, **resacc_kwargs):
-    """Serve a top-k query: fast path first, full solve as a safety net.
+                 mode="auto", trace=None):
+    """Serve a top-k query.
 
     ``mode``:
 
-    * ``"auto"`` (default) -- run :func:`topk_solve`; if it certifies
-      separation return its answer, otherwise fall back to the full
-      ResAcc solve (same ``seed``) and answer from that, with
-      ``path="full"`` recording the fallback.
-    * ``"fast"`` -- return the fast solver's answer even when it did
-      not separate (``separated=False``; bounds still valid).
-    * ``"full"`` -- skip the fast solver entirely.
+    * ``"auto"`` (default) -- the PowerPush envelope, refined until the
+      set is certified or :data:`MAX_REFINEMENTS` is reached
+      (``path="topk"``).  Deterministic: ``seed`` is accepted and
+      ignored, so the answer is a pure function of ``(graph, source, k,
+      accuracy)`` and byte-identical across engines and workers.
+    * ``"full"`` -- a full ResAcc solve with ``seed``, answered through
+      :func:`answer_from_result` (``path="full"``).
 
-    ``resacc_kwargs`` (e.g. ``walk_workers`` / ``walk_executor``) apply
-    to the fallback full solve only; the fast solver's walk batches are
-    small and always serial, which keeps its answer byte-stable across
-    engines regardless of their walk parallelism.
-
-    Either way the answer is a pure function of ``(graph, source, k,
-    accuracy, seed, mode)`` (plus the fallback's walk parallelism), so
-    repeated queries -- from any engine or worker -- are byte-identical.
+    ``k`` must be ``>= 1`` and is clamped to ``n``.  ``trace`` is an
+    optional :class:`repro.obs.QueryTrace` (or a deadline proxy): the
+    envelope records ``localpush`` / ``power`` phases plus one
+    ``"topk_refine"`` phase per refinement, and notes ``topk_separated``
+    / ``topk_gap`` / ``topk_refinements``.
     """
-    if mode not in ("auto", "fast", "full"):
-        raise ParameterError(
-            f"mode must be 'auto', 'fast' or 'full', got {mode!r}"
-        )
-    fast = None
-    if mode != "full":
-        tic = time.perf_counter()
-        fast = topk_solve(
-            graph, source, k, params=params, accuracy=accuracy,
-            seed=seed, max_rounds=max_rounds, guard_factor=guard_factor,
-            trace=trace,
-        )
-        fast.extras["seconds"] = time.perf_counter() - tic
-        if fast.separated or mode == "fast":
-            fast.trace = trace
-            return fast
-    result = resacc(graph, source, params=params, accuracy=accuracy,
-                    seed=seed, trace=trace, **resacc_kwargs)
-    answer = answer_from_result(result, k, fast_attempt=fast)
+    k = int(k)
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if mode not in ("auto", "full"):
+        raise ParameterError(f"mode must be 'auto' or 'full', got {mode!r}")
+    if not 0 <= source < graph.n:
+        raise ParameterError(f"source {source} out of range for n={graph.n}")
+    params = params or ResAccParams()
+    accuracy = accuracy or AccuracyParams.paper_defaults(graph.n)
+    if mode == "full":
+        result = resacc(graph, source, params=params, accuracy=accuracy,
+                        seed=seed, trace=trace)
+        return answer_from_result(result, k)
+    answer = _envelope(graph, int(source), min(k, graph.n), params,
+                       accuracy, trace if trace is not None else NULL_TRACE)
     answer.trace = trace
     return answer

@@ -472,9 +472,9 @@ class SSRWRServer:
             "nodes": [int(v) for v in answer.nodes],
             "values": [float(v) for v in answer.values],
             #: which solver produced the scores: "topk" means the
-            #: early-terminating fast path certified the set, "full"
-            #: means the full solve answered (fast path not separated,
-            #: forced mode, or custom solver).
+            #: PowerPush envelope (``separated`` says whether it
+            #: certified the set), "full" means the full solve answered
+            #: (``mode="full"``).
             "path": answer.path,
             "separated": bool(answer.separated),
             "bound_gap": _finite_or_none(answer.bound_gap),

@@ -152,9 +152,10 @@ class ServerClient:
 
     def top_k(self, source, k, *, accuracy=None, deadline_ms=None,
               mode=None):
-        """``mode`` (``"auto"``/``"fast"``/``"full"``) picks the solver
-        path; the response's ``path``/``separated`` fields report which
-        one actually answered (see docs/topk.md)."""
+        """``mode`` picks the solver path: ``"auto"`` (the default) the
+        PowerPush envelope, ``"full"`` the server's configured solver.
+        The response's ``path`` field names the one that answered and
+        ``separated`` whether the set is certified (see docs/topk.md)."""
         payload = {"source": int(source), "k": int(k)}
         if accuracy is not None:
             payload["accuracy"] = _accuracy_payload(accuracy)

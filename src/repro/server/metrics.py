@@ -92,8 +92,8 @@ class ServerMetrics:
 
     def observe_top_k(self, path):
         """Record which solver path answered a ``/top_k`` request
-        (``"topk"`` = early-terminated fast path, ``"full"`` = full
-        solve; cache hits count the path of the cached answer)."""
+        (``"topk"`` = the PowerPush envelope, ``"full"`` = full solve;
+        cache hits count the path of the cached answer)."""
         with self._lock:
             if path == "topk":
                 self.topk_fast_total += 1
@@ -184,8 +184,8 @@ class ServerMetrics:
              "help": "Successful graph mutations applied over HTTP.",
              "samples": [("", None, mutations)]},
             {"name": "repro_http_top_k_answers_total", "type": "counter",
-             "help": "/top_k answers by solver path (topk = fast path "
-                     "certified the set, full = full solve).",
+             "help": "/top_k answers by solver path (topk = PowerPush "
+                     "envelope, full = full solve).",
              "samples": topk_paths},
             {"name": "repro_http_degraded_answers_total", "type": "counter",
              "help": "Queries answered by a degraded tier instead of "
@@ -244,12 +244,10 @@ def _engine_families(engine):
         {"name": "repro_engine_topk_queries_total", "type": "counter",
          "help": "Top-k queries answered (cache hits included).",
          "samples": [("", None, stats.topk_queries)]},
-        {"name": "repro_engine_topk_fast_total", "type": "counter",
-         "help": "Top-k misses answered by the early-terminating solver.",
-         "samples": [("", None, stats.topk_fast)]},
-        {"name": "repro_engine_topk_fallback_total", "type": "counter",
-         "help": "Top-k misses that fell back to the full solve.",
-         "samples": [("", None, stats.topk_fallback)]},
+        {"name": "repro_engine_topk_unseparated_total", "type": "counter",
+         "help": "Computed top-k envelope answers whose set is not "
+                 "certified.",
+         "samples": [("", None, stats.topk_unseparated)]},
         {"name": "repro_engine_updates_total", "type": "counter",
          "help": "Graph mutations applied by the engine.",
          "samples": [("", None, stats.updates)]},

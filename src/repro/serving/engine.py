@@ -104,12 +104,10 @@ class ServiceStats:
     solver_seconds: float = 0.0
     deadline_exceeded: int = 0
     worker_restarts: int = 0
-    #: top-k queries answered (cache hits included), and how the misses
-    #: were computed: ``topk_fast`` counts early-terminated (separated)
-    #: answers, ``topk_fallback`` full-solve answers (see docs/topk.md).
+    #: top-k queries answered (cache hits included), and the computed
+    #: envelope answers whose set is not certified (see docs/topk.md).
     topk_queries: int = 0
-    topk_fast: int = 0
-    topk_fallback: int = 0
+    topk_unseparated: int = 0
     #: incremental dynamic-graph serving (``incremental=True`` engines,
     #: see docs/dynamic.md): cached entries kept across a mutation
     #: because their offset bound still met the accuracy contract, and
@@ -159,7 +157,7 @@ class ConcurrentQueryEngine:
         SSRWRResult``, or ``None`` to resolve via the ``REPRO_SOLVER``
         environment variable (default: ResAcc).  Either way it becomes a
         :class:`repro.core.solvers.SolverEntry`, whose capability flags
-        decide the top-k fast path, blocked batches and retention.  The
+        decide blocked batches, retention and the walk pool.  The
         engine passes ``seed = base_seed + source`` so the answer for a
         source is deterministic no matter which worker computes it;
         with a blocked-batch entry (``"powerpush"``) cold
@@ -210,7 +208,7 @@ class ConcurrentQueryEngine:
         slack that lets entries survive edits; ``1.0`` leaves solve
         accuracy -- and result bytes -- exactly as before.  Applies only
         to solvers whose entry is ``retention_safe`` (ResAcc): top-k
-        fast-path answers and other solvers' entries are never
+        envelope answers and other solvers' entries are never
         retained, so they solve at the contract itself.
     """
 
@@ -725,51 +723,41 @@ class ConcurrentQueryEngine:
         """Top-k answer for ``source`` (cached, single-flighted).
 
         Returns a :class:`repro.core.TopKAnswer` (it iterates as
-        ``(nodes, values)`` for back-compat).  ``mode="auto"`` tries the
-        early-terminating solver of :mod:`repro.core.topk_solver` and
-        falls back to the full solve when the set cannot be certified;
-        ``"fast"`` / ``"full"`` force one path.  When the solver entry
-        has no ``topk_fast_path`` (PowerPush, custom solvers), and for
-        ``mode="full"``, the answer comes from the cached full-query
-        result :meth:`query` would return (``path="full"``), and
-        ``topk_fallback`` counts only the full solves this call ran.
+        ``(nodes, values)`` for back-compat).  ``mode="auto"`` answers
+        from the PowerPush envelope of
+        :func:`repro.core.topk_solver.answer_top_k` on every engine,
+        whatever solver it is configured with: the envelope is
+        deterministic, so the answer is a pure function of ``(graph,
+        source, k, accuracy)`` and byte-identical across engines and
+        workers.  Its cache key is ``("topk", source, accuracy, k)`` --
+        disjoint from full-query keys, and per-``k`` (a certificate
+        covers only its own set).  ``stats.topk_unseparated`` counts
+        computed envelope answers whose set is not certified.
 
-        Fast-path cache keys are ``("topk", source, accuracy, k, mode)`` --
-        disjoint from full-query keys, per-``k`` (a certificate covers
-        only its own set), and never shared between modes.  The fast
-        solver's walks are always serial, so the answer is a pure
-        function of ``(graph, source, k, accuracy, seed, mode)`` and
-        byte-identical across engines and workers; ``walk_workers``
-        parallelism applies to the fallback solve only.
+        ``mode="full"`` answers from the cached full-query result
+        :meth:`query` would return (``path="full"``).
 
         A ``deadline`` is enforced at every solver phase boundary --
-        including each fast-path refinement round -- and expiry raises
+        including each envelope refinement -- and expiry raises
         :class:`repro.errors.DeadlineExceededError`, freeing the worker.
         """
         k = self._check_topk(k, mode)
-        if not self._solver.topk_fast_path or mode == "full":
-            # The early-terminating top-k solver is built on ResAcc's
-            # push+walk envelope; other solvers answer top-k from the
-            # full vector instead.
+        if mode == "full":
             from repro.core.topk_solver import answer_from_result
 
-            result, outcome = self._serve(
+            result, _ = self._serve(
                 source, deadline,
                 self._query_build(source, accuracy, deadline), topk=True,
             )
-            if outcome == "miss":
-                with self._stats_lock:
-                    self.stats.topk_fallback += 1
             return answer_from_result(result, k)
 
         def build(graph, epoch):
             effective = accuracy or self._accuracy
             # Top-k answers carry no full estimate vector to bound, so
             # they are never retained across mutations (meta=None).
-            return (("topk", int(source), effective, k, mode),
+            return (("topk", int(source), effective, k),
                     lambda: self._compute_topk(graph, int(source), k,
-                                               effective, mode, epoch,
-                                               deadline),
+                                               effective, epoch, deadline),
                     None)
 
         return self._serve(source, deadline, build, topk=True)[0]
@@ -780,32 +768,25 @@ class ConcurrentQueryEngine:
         k = int(k)
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
-        if mode not in ("auto", "fast", "full"):
+        if mode not in ("auto", "full"):
             raise ParameterError(
-                f"mode must be 'auto', 'fast' or 'full', got {mode!r}"
+                f"mode must be 'auto' or 'full', got {mode!r}"
             )
         return k
 
-    def _compute_topk(self, graph, source, k, accuracy, mode, epoch,
+    def _compute_topk(self, graph, source, k, accuracy, epoch,
                       deadline=None):
         # Resolved per call, so a patched module attribute takes effect.
         from repro.core.topk_solver import answer_top_k
 
         answer = self._run(
-            functools.partial(
-                answer_top_k, source=source, k=k,
-                accuracy=accuracy or AccuracyParams.paper_defaults(graph.n),
-                seed=self._seed + source, mode=mode,
-                walk_workers=self._walk_workers,
-                walk_executor=self._walk_executor_for(graph),
-            ),
+            functools.partial(answer_top_k, source=source, k=k,
+                              accuracy=accuracy),
             graph, epoch, deadline,
         )
-        with self._stats_lock:
-            if answer.path == "topk":
-                self.stats.topk_fast += 1
-            else:
-                self.stats.topk_fallback += 1
+        if not answer.separated:
+            with self._stats_lock:
+                self.stats.topk_unseparated += 1
         return answer
 
     def _solve_accuracy_for(self, graph, accuracy):
@@ -1070,8 +1051,8 @@ class ConcurrentQueryEngine:
     def _repair(self, key):
         try:
             if key[0] == "topk":
-                _, source, accuracy, k, mode = key
-                self.top_k(source, k, accuracy=accuracy, mode=mode)
+                _, source, accuracy, k = key
+                self.top_k(source, k, accuracy=accuracy)
             elif key[0] == "cpi":
                 # Cheap-tier entries cost a handful of sweeps to rebuild
                 # on demand; repairing them would also inflate the

@@ -1,12 +1,10 @@
-"""Tests for priority push scheduling, result serialization, and the
-adaptive certified top-K."""
+"""Tests for priority push scheduling and result serialization."""
 
 import numpy as np
 import pytest
 
-from repro.core import AccuracyParams, resacc
+from repro.core import resacc
 from repro.core.serialize import load_result, save_result
-from repro.core.topk import topk_certified
 from repro.errors import ParameterError
 from repro.push import forward_push_loop, init_state, push_thresholds
 
@@ -105,33 +103,3 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             load_result(path)
 
-
-class TestCertifiedTopK:
-    def test_returns_topk_result(self, ba_graph):
-        accuracy = AccuracyParams.paper_defaults(ba_graph.n)
-        top = topk_certified(ba_graph, 0, 3, accuracy=accuracy, seed=1)
-        assert top.k == 3
-        assert "certified_eps" in top.result.extras
-
-    def test_certifies_well_separated_head(self):
-        from repro.graph import generators
-
-        # On a star, the hub's top-1 (itself) is far above everything.
-        g = generators.star(30)
-        accuracy = AccuracyParams.paper_defaults(g.n)
-        top = topk_certified(g, 0, 1, accuracy=accuracy, seed=1)
-        assert top.certified
-
-    def test_eps_schedule_tightens(self, ba_graph):
-        accuracy = AccuracyParams.paper_defaults(ba_graph.n)
-        # A deliberately hopeless schedule: margins will not certify, and
-        # the last (tightest) eps must be the one recorded.
-        top = topk_certified(ba_graph, 0, 50, accuracy=accuracy,
-                             eps_schedule=[0.5, 0.25], seed=1)
-        assert top.result.extras["certified_eps"] in (0.5, 0.25)
-        if not top.certified:
-            assert top.result.extras["certified_eps"] == 0.25
-
-    def test_validation(self, ba_graph):
-        with pytest.raises(ParameterError):
-            topk_certified(ba_graph, 0, 0)

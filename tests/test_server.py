@@ -123,7 +123,7 @@ class TestEquivalence:
         assert doc["k"] == 5
         assert doc["walks_used"] >= 0
         assert doc["pushes"] >= 0
-        # k = n: the fast path certifies trivially (bound_gap would be
+        # k = n: the envelope certifies trivially (bound_gap would be
         # +inf, which JSON cannot carry -- the field must be null).
         doc = client.top_k(5, graph.n)
         assert doc["path"] == "topk"

@@ -5,8 +5,8 @@ facade, the threaded ``query_batch`` and the multi-process
 ``query_batch`` -- must return exactly the bytes of the bare registry
 solve ``entry.solve(graph, s, seed=seed + s)``, which runs no engine,
 cache or epoch gate.  Top-k answers are pinned the same way: to the bare
-``answer_top_k(graph, s, k, seed=seed + s)`` for an entry with the fast
-path, and to the top-k of the bare solve for one without.  The older
+envelope ``answer_top_k(graph, s, k)`` on every entry, and with
+``mode="full"`` to the top-k of the bare solve.  The older
 equivalence suites compare engines with each other; this one pins them
 all to the solver itself.
 
@@ -93,13 +93,6 @@ def test_solve_margin_only_tightens_retained_entries():
         assert result.estimates.tobytes() == want.estimates.tobytes()
 
 
-def _bare_top_k(graph, name, source):
-    if solvers.ENTRIES[name].topk_fast_path:
-        return answer_top_k(graph, source, K, seed=SEED + source)
-    result = solvers.ENTRIES[name].solve(graph, source, seed=SEED + source)
-    return answer_from_result(result, K)
-
-
 @pytest.mark.parametrize("kind", ["facade", "threads", "multiproc"])
 @pytest.mark.parametrize("name", sorted(solvers.ENTRIES))
 def test_top_k_answers_equal_bare_top_k(name, kind):
@@ -107,17 +100,27 @@ def test_top_k_answers_equal_bare_top_k(name, kind):
     with _engine(kind, graph, name) as engine:
         solo = [engine.top_k(s, K) for s in SOURCES[:3]]
         batch = engine.top_k_batch(SOURCES, K)
+        full = engine.top_k_batch(SOURCES, K, mode="full")
     got = list(zip(SOURCES[:3], solo)) + list(zip(SOURCES, batch))
     for source, answer in got:
-        want = _bare_top_k(graph, name, source)
+        want = answer_top_k(graph, source, K)
         assert answer.source == source
-        assert answer.path == want.path
+        assert answer.path == want.path == "topk"
+        assert answer.separated == want.separated
+        assert answer.bound_gap == want.bound_gap
         assert answer.nodes.tobytes() == want.nodes.tobytes(), (
             f"{kind}/{name}: top-k nodes of {source} diverge"
         )
         assert answer.values.tobytes() == want.values.tobytes(), (
             f"{kind}/{name}: top-k values of {source} diverge"
         )
+    for source, answer in zip(SOURCES, full):
+        result = solvers.ENTRIES[name].solve(graph, source,
+                                             seed=SEED + source)
+        want = answer_from_result(result, K)
+        assert answer.path == "full"
+        assert answer.nodes.tobytes() == want.nodes.tobytes()
+        assert answer.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["threads", "multiproc"])

@@ -1,17 +1,17 @@
 """The solver registry (:mod:`repro.core.solvers`) and what engines read
 from it.
 
-* **Entries and flags.**  ``resacc`` has the top-k fast path and is
-  retention-safe; ``powerpush`` has a blocked batch solve; a custom
-  callable is an entry with every flag off that keeps its own signature.
+* **Entries and flags.**  ``resacc`` is retention-safe and runs walks;
+  ``powerpush`` has a blocked batch solve; a custom callable is an entry
+  with every flag off that keeps its own signature.
 * **Call-time lookup.**  Entries resolve ``powerpush`` /
   ``powerpush_batch`` / ``answer_top_k`` from their modules on every
   call, so a patched module attribute is what the engine runs.
-* **Top-k validation.**  ``k < 1`` is rejected on every top-k path, not
-  only on the fast path.
+* **Top-k validation.**  ``k < 1`` is rejected on every top-k path.
 * **Top-k counters.**  Every top-k path counts ``topk_queries`` the same
-  way, expired deadlines included, and ``topk_fallback`` counts only
-  full solves a top-k call ran, never cache hits.
+  way, expired deadlines included, and ``topk_unseparated`` counts only
+  computed envelope answers whose set is not certified, never cache
+  hits.
 * **Walk pool.**  With ``walk_workers > 1`` an engine builds the shared
   walk pool only for an entry that ``runs_walks`` (ResAcc).
 """
@@ -40,9 +40,9 @@ def test_named_entries_and_flags(monkeypatch):
     assert solvers.get(None) is resacc
     assert solvers.get("auto") is resacc
     assert solvers.get(" PowerPush ") is powerpush
-    assert (resacc.topk_fast_path, resacc.retention_safe,
+    assert (resacc.retention_safe, resacc.runs_walks,
             resacc.blocked_batch) == (True, True, False)
-    assert (powerpush.topk_fast_path, powerpush.retention_safe,
+    assert (powerpush.retention_safe, powerpush.runs_walks,
             powerpush.blocked_batch) == (False, False, True)
     assert solvers.SOLVERS == ("auto", "resacc", "powerpush")
     with pytest.raises(ParameterError):
@@ -57,7 +57,7 @@ def test_custom_entry_keeps_its_signature(graph):
         return source
 
     entry = solvers.get(fn)
-    assert (entry.topk_fast_path, entry.retention_safe,
+    assert (entry.retention_safe, entry.runs_walks,
             entry.blocked_batch) == (False, False, False)
     assert entry.solve(graph, 4, accuracy="acc", seed=9, trace=None,
                        walk_workers=2, walk_executor=None) == 4
@@ -96,11 +96,12 @@ def test_entries_resolve_solvers_at_call_time(monkeypatch, graph):
     with ConcurrentQueryEngine(graph, solver="powerpush") as engine:
         engine.query(0)
         engine.query_batch([1, 2, 3])
+        engine.top_k(0, 5)
     with ConcurrentQueryEngine(graph, solver="resacc") as engine:
         engine.top_k(0, 5)
     assert solo == ["powerpush"]
     assert batch == ["powerpush_batch"]
-    assert topk == ["answer_top_k"]
+    assert topk == ["answer_top_k", "answer_top_k"]
 
 
 @pytest.mark.parametrize("k", [0, -3])
@@ -131,13 +132,19 @@ def test_top_k_rejects_k_below_one_custom_and_facade(graph, k):
 @pytest.mark.parametrize("name, mode", [("powerpush", "auto"),
                                         ("resacc", "full")])
 def test_full_path_top_k_counts_only_computed_answers(graph, name, mode):
-    with ConcurrentQueryEngine(graph, solver=name) as engine:
+    """Both top-k paths cache their answer; only the computed envelope
+    answer can count as unseparated."""
+    torus = generators.grid(6, 6, torus=True)
+    with ConcurrentQueryEngine(torus, solver=name) as engine:
         for _ in range(4):
-            assert engine.top_k(0, 5, mode=mode).path == "full"
+            # k = 3 splits the source's four exactly tied neighbours.
+            answer = engine.top_k(0, 3, mode=mode)
+            assert answer.path == ("topk" if mode == "auto" else "full")
+            assert answer.separated is False
         assert engine.stats.solver_calls == 1
         assert engine.stats.topk_queries == 4
         assert engine.stats.cache_hits == 3
-        assert engine.stats.topk_fallback == 1
+        assert engine.stats.topk_unseparated == (mode == "auto")
 
 
 @pytest.mark.parametrize("name, mode", [("powerpush", "auto"),
