@@ -102,6 +102,13 @@ def _attach_task(handle):
     return attach_csr_graph(handle).n
 
 
+def _has_dead_worker(pool):
+    """Whether any of ``pool``'s worker processes has exited."""
+    processes = pool._processes or {}  # None once the pool shut down
+    return any(process.exitcode is not None
+               for process in list(processes.values()))
+
+
 class MultiProcessQueryEngine(ConcurrentQueryEngine):
     """Process-pooled, cache-deduplicated, update-aware SSRWR service.
 
@@ -292,6 +299,11 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
                 )
             pool, handle = self._solver_resources(graph)
             try:
+                if _has_dead_worker(pool):
+                    # The pool notices a dead worker only asynchronously;
+                    # until then a submit can run on a survivor and keep
+                    # a half-dead pool in service.
+                    raise BrokenProcessPool("a solver worker process died")
                 future = pool.submit(_pool_task, handle, call,
                                      self._trace_enabled, epoch, deadline)
                 return future.result()

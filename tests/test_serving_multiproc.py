@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -128,7 +129,9 @@ def test_worker_crash_respawns_and_completes():
         engine.warm_up()
         pids = engine.worker_pids()
         assert len(pids) == 2
+        killed = engine._solver_pool._processes[pids[0]]
         os.kill(pids[0], signal.SIGKILL)
+        assert wait([killed.sentinel], timeout=30)
         result = engine.query(11)
         assert (result.estimates.tobytes()
                 == sequential.query(11).estimates.tobytes())
