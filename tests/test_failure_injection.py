@@ -191,6 +191,27 @@ class TestServerRejections:
         status, _ = self._raw(handle, "POST", "/query", body=b"[1, 2]")
         assert status == 400
 
+    @pytest.mark.parametrize("body", [
+        b'{"source": "\xff\xfe"}',
+        b'{"source": 0, "accuracy": {"eps": NaN, "delta": 0.1, '
+        b'"p_f": 0.1}}',
+        b"NaN",
+        b"[1, 2]",
+        b'"source"',
+        b"17",
+        b"null",
+    ], ids=["invalid-utf8", "nan-literal-field", "nan-literal", "array",
+            "string", "number", "null"])
+    def test_undecodable_body_answers_400_error_object(self, served, body):
+        import json
+
+        handle, _ = served
+        status, raw = self._raw(handle, "POST", "/query", body=body)
+        assert status == 400
+        doc = json.loads(raw)
+        assert list(doc) == ["error"]
+        assert isinstance(doc["error"], str) and doc["error"]
+
     def test_unknown_route_is_404(self, served):
         _, client = served
         from repro.server import ServerError

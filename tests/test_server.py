@@ -1,12 +1,14 @@
 """End-to-end tests for the HTTP service (``repro.server``).
 
 Every test boots a real :class:`SSRWRServer` on a loopback ephemeral
-port via :func:`start_in_thread` and drives it with the stdlib
+port via :func:`start_in_thread` and drives it with
 :class:`ServerClient` -- the same path production traffic takes.  The
 contracts under test:
 
 * HTTP answers are **value-identical** (as float64) to a sequential
-  ``QueryEngine.query`` loop after the JSON round-trip;
+  ``QueryEngine.query`` loop after the JSON round-trip, and every float
+  of every answering endpoint carries the engine's float64 bits, with
+  NaN and infinities written as ``null``;
 * failures are structured: 504 on deadline expiry (with the worker
   freed), 503 on queue-full load shedding, 429 on per-client rate
   limits, 503 from ``/readyz`` while a mutation drains;
@@ -18,6 +20,8 @@ contracts under test:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import re
 import threading
 import time
@@ -114,9 +118,9 @@ class TestEquivalence:
         assert doc["path"] == "full"
         assert doc["separated"] is False
 
-    def test_top_k_reports_answering_path(self, served):
+    def test_top_k_reports_answering_path(self, served, monkeypatch):
         """Every /top_k response says which solver path answered."""
-        graph, _, client = served
+        graph, handle, client = served
         doc = client.top_k(17, 5)
         assert doc["path"] in ("topk", "full")
         assert isinstance(doc["separated"], bool)
@@ -129,6 +133,19 @@ class TestEquivalence:
         assert doc["path"] == "topk"
         assert doc["separated"] is True
         assert doc["bound_gap"] is None
+        # NaN bounds (numpy or Python floats) are null on the wire too.
+        engine = handle.server.engine
+        top_k = engine.top_k
+
+        def nan_bounds(*args, **kwargs):
+            return dataclasses.replace(top_k(*args, **kwargs),
+                                       bound_gap=np.float64("nan"),
+                                       bound_width=float("nan"))
+
+        monkeypatch.setattr(engine, "top_k", nan_bounds)
+        doc = client.top_k(5, 3)
+        assert doc["bound_gap"] is None
+        assert doc["bound_width"] is None
 
     def test_top_k_invalid_mode_is_400(self, served):
         _, _, client = served
@@ -163,6 +180,110 @@ class TestEquivalence:
         doc = client.readyz()
         assert doc["ready"] is True
         assert "epoch" in doc
+
+
+# ----------------------------------------------------------------------
+# Wire contract: every float in a body is the engine's float64
+# ----------------------------------------------------------------------
+#: ``(path, payload, deadline_ms)`` per case; each case uses sources no
+#: earlier case touched, so its answer is solved cold (the blocked
+#: ``power_block_loop`` sweep for ``query_batch`` on PowerPush).
+WIRE_CASES = {
+    "query": ("/query", {"source": 17}, None),
+    "query_top_k": ("/query", {"source": 18, "top_k": 7}, None),
+    "query_batch": ("/query_batch", {"sources": [40, 41, 40]}, None),
+    "top_k": ("/top_k", {"source": 17, "k": 7}, None),
+    "top_k_batch": ("/top_k_batch", {"sources": [40, 41], "k": 7}, None),
+    "query_cpi": ("/query", {"source": 19}, 1.0),
+}
+DEGRADED_ROUNDS = 6
+
+
+@pytest.fixture(scope="class", params=["resacc", "powerpush"])
+def wire_served(request):
+    """A degraded-tier server per solver for the wire-contract cases."""
+    handle = start_in_thread(
+        _engine(_graph(), solver=request.param),
+        ServerConfig(port=0, degraded_tier=True,
+                     degraded_rounds=DEGRADED_ROUNDS),
+    )
+    client = ServerClient(base_url=handle.url, client_id="wire")
+    yield handle, client
+    client.close()
+    handle.stop()
+
+
+def _engine_floats(case, engine, payload):
+    """``(body field path, engine float64 value)`` pairs for one case."""
+    if case == "query":
+        result = engine.query(payload["source"])
+        return [(("estimates",), result.estimates)]
+    if case == "query_top_k":
+        _, values = engine.query(payload["source"]).top_k(payload["top_k"])
+        return [(("values",), values)]
+    if case == "query_cpi":
+        result = engine.query_cheap(payload["source"],
+                                    rounds=DEGRADED_ROUNDS)
+        return [(("estimates",), result.estimates),
+                (("error_bound",), result.extras["error_bound"]),
+                (("accuracy_achieved",), result.extras["eps_achieved"])]
+    if case == "query_batch":
+        return [(("results", i, "estimates"), engine.query(s).estimates)
+                for i, s in enumerate(payload["sources"])]
+    sources = payload.get("sources", [payload.get("source")])
+    pairs = []
+    for i, s in enumerate(sources):
+        answer = engine.top_k(s, payload["k"])
+        prefix = ("results", i) if "sources" in payload else ()
+        pairs += [(prefix + ("values",), answer.values),
+                  (prefix + ("bound_gap",), answer.bound_gap),
+                  (prefix + ("bound_width",), answer.bound_width)]
+    return pairs
+
+
+class TestWireContract:
+    @pytest.mark.parametrize("case", sorted(WIRE_CASES))
+    def test_body_floats_equal_engine_bits(self, wire_served, case):
+        """Each float parsed from a body (by the stdlib parser, not the
+        server's codec) has the engine's float64 bits."""
+        handle, client = wire_served
+        path, payload, deadline_ms = WIRE_CASES[case]
+        doc = json.loads(client.request("POST", path, payload,
+                                        deadline_ms=deadline_ms, raw=True))
+        assert doc.get("tier", "exact") == (
+            "cpi" if case == "query_cpi" else "exact")
+        for keys, want in _engine_floats(case, handle.server.engine,
+                                         payload):
+            wire = doc
+            for key in keys:
+                wire = wire[key]
+            want = np.asarray(want, dtype=np.float64)
+            got = np.asarray(wire, dtype=np.float64)
+            assert got.shape == want.shape, keys
+            assert got.tobytes() == want.tobytes(), (
+                f"{case}: {keys} differs from the engine's float64 bits")
+
+    def test_non_finite_cpi_fields_are_null(self, wire_served, monkeypatch):
+        """A NaN error bound and an infinite achieved eps are JSON null
+        (JSON has no NaN or Infinity)."""
+        handle, client = wire_served
+        engine = handle.server.engine
+        query_cheap = engine.query_cheap
+
+        def non_finite(*args, **kwargs):
+            result = query_cheap(*args, **kwargs)
+            extras = {**result.extras, "error_bound": float("nan"),
+                      "eps_achieved": np.float64("inf")}
+            return dataclasses.replace(result, extras=extras)
+
+        monkeypatch.setattr(engine, "query_cheap", non_finite)
+        text = client.request("POST", "/query", {"source": 23},
+                              deadline_ms=1.0, raw=True)
+        doc = json.loads(text)
+        assert doc["tier"] == "cpi"
+        assert doc["error_bound"] is None
+        assert doc["accuracy_achieved"] is None
+        assert "NaN" not in text and "Infinity" not in text
 
 
 # ----------------------------------------------------------------------
