@@ -2,7 +2,7 @@
 
 Boots a real :class:`repro.server.SSRWRServer` on a loopback port (the
 same code path as the ``repro-serve`` console command), then exercises
-the whole wire surface with the stdlib client:
+the whole wire surface with :class:`repro.server.ServerClient`:
 
 * single queries and a batch -- value-identical to the engine answers;
 * a deliberately expired deadline -- answered ``504`` with the worker

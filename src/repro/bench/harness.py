@@ -730,7 +730,7 @@ def http_benchmark(graph, *, num_unique=8, repeat=4, concurrency=4,
     """End-to-end HTTP serving benchmark over a loopback socket.
 
     Boots an :class:`repro.server.SSRWRServer` on an ephemeral loopback
-    port and drives it with ``concurrency`` stdlib clients (one
+    port and drives it with ``concurrency`` clients (one
     :class:`repro.server.ServerClient` per thread, the honest model of
     independent network clients) over the same hot workload
     :func:`serving_benchmark` uses: ``num_unique`` sources requested

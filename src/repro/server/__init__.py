@@ -1,4 +1,4 @@
-"""Network-facing SSRWR service (HTTP/JSON, stdlib-only).
+"""Network-facing SSRWR service (HTTP/JSON over asyncio and orjson).
 
 The package turns :class:`repro.serving.ConcurrentQueryEngine` into a
 real front door:
@@ -13,8 +13,8 @@ real front door:
 * :mod:`repro.server.app` -- :class:`SSRWRServer` (endpoints, deadline
   propagation, graceful SIGTERM drain) and the ``repro-serve`` console
   entry point;
-* :mod:`repro.server.client` -- the stdlib client used by tests, the
-  benchmark and the examples.
+* :mod:`repro.server.client` -- the ``http.client`` wrapper used by
+  tests, the benchmark and the examples.
 
 See ``docs/server.md`` for the endpoint reference and semantics.
 """

@@ -2,9 +2,9 @@
 
 :class:`SSRWRServer` wraps a
 :class:`repro.serving.ConcurrentQueryEngine` behind a hand-rolled
-HTTP/1.1 front door built on ``asyncio.start_server`` -- no runtime
-dependencies beyond the stdlib.  It is designed as a real front door,
-not a demo:
+HTTP/1.1 front door built on ``asyncio.start_server``, with ``orjson``
+as its JSON codec and no web framework.  It is designed as a real front
+door, not a demo:
 
 * **admission control** -- at most ``max_inflight`` requests are
   admitted at once; excess load is shed with ``503 + Retry-After``
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import math
 import signal
 import sys
 import threading
@@ -57,15 +56,6 @@ from repro.server.protocol import ProtocolError, json_body, render_response
 
 #: Endpoints that bypass admission control and rate limiting.
 CONTROL_ENDPOINTS = frozenset({"/healthz", "/readyz", "/metrics"})
-
-
-def _finite_or_none(value):
-    """JSON-safe float: ``None`` for ``None``/NaN/inf (json.dumps would
-    emit ``Infinity``, which is not valid JSON)."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
 
 
 @dataclass
@@ -465,20 +455,20 @@ class SSRWRServer:
     def _top_k_doc(self, answer):
         """One top-k answer on the wire, counted by solver path."""
         self.metrics.observe_top_k(answer.path)
-        # bound_gap / bound_width are None on the full path; emit JSON
-        # null rather than NaN (which json would not round-trip).
+        # bound_gap / bound_width are None on the full path and +inf
+        # when k covers every node; json_body writes both as null.
         return {
             "source": int(answer.source),
-            "nodes": [int(v) for v in answer.nodes],
-            "values": [float(v) for v in answer.values],
+            "nodes": answer.nodes,
+            "values": answer.values,
             #: which solver produced the scores: "topk" means the
             #: PowerPush envelope (``separated`` says whether it
             #: certified the set), "full" means the full solve answered
             #: (``mode="full"``).
             "path": answer.path,
             "separated": bool(answer.separated),
-            "bound_gap": _finite_or_none(answer.bound_gap),
-            "bound_width": _finite_or_none(answer.bound_width),
+            "bound_gap": answer.bound_gap,
+            "bound_width": answer.bound_width,
             "walks_used": int(answer.walks_used),
             "pushes": int(answer.pushes),
             "tier": "exact",
@@ -546,22 +536,18 @@ class SSRWRServer:
             "walks_used": int(result.walks_used),
             "pushes": int(result.pushes),
             "tier": tier,
-            "accuracy_achieved": _finite_or_none(
-                achieved_eps(result, self._query_contract(accuracy))
+            "accuracy_achieved": achieved_eps(
+                result, self._query_contract(accuracy)
             ),
         }
         if tier == TIER_CPI:
             doc["degraded_reason"] = reason
-            doc["error_bound"] = _finite_or_none(
-                result.extras.get("error_bound")
-            )
+            doc["error_bound"] = result.extras.get("error_bound")
             self.metrics.observe_degraded(tier)
         if top_k is not None:
-            nodes, values = result.top_k(int(top_k))
-            doc["nodes"] = [int(v) for v in nodes]
-            doc["values"] = [float(v) for v in values]
+            doc["nodes"], doc["values"] = result.top_k(int(top_k))
         else:
-            doc["estimates"] = [float(v) for v in result.estimates]
+            doc["estimates"] = result.estimates
         return 200, json_body(doc), None, "application/json"
 
     async def _handle_query_batch(self, request):
@@ -578,11 +564,9 @@ class SSRWRServer:
             else:
                 results.append({
                     "source": result.source,
-                    "estimates": [float(v) for v in result.estimates],
+                    "estimates": result.estimates,
                     "tier": "exact",
-                    "accuracy_achieved": _finite_or_none(
-                        achieved_eps(result, contract)
-                    ),
+                    "accuracy_achieved": achieved_eps(result, contract),
                 })
         doc = {
             "epoch": self._engine.epoch,

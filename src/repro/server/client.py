@@ -1,11 +1,12 @@
-"""Stdlib HTTP client for the SSRWR service.
+"""HTTP client for the SSRWR service.
 
-A thin, dependency-free wrapper over :mod:`http.client` used by the
-tests, the benchmark driver and the examples.  One
-:class:`ServerClient` owns one keep-alive connection and is **not**
-thread-safe -- the bench harness gives each worker thread its own
-client, which is also the honest way to model independent network
-clients.
+A thin wrapper over :mod:`http.client` used by the tests, the
+benchmark driver and the examples.  It encodes and decodes bodies with
+``orjson``, the server's codec (:func:`repro.server.protocol.json_body`
+out, ``orjson.loads`` in).  One :class:`ServerClient` owns one
+keep-alive connection and is **not** thread-safe -- the bench harness
+gives each worker thread its own client, which is also the honest way
+to model independent network clients.
 
 Non-2xx responses raise :class:`ServerError` carrying the status code,
 the decoded error payload and any ``Retry-After`` hint, so callers can
@@ -16,9 +17,11 @@ structurally.
 from __future__ import annotations
 
 import http.client
-import json
+
+import orjson
 
 from repro.errors import ReproError
+from repro.server.protocol import json_body
 
 
 class ServerError(ReproError):
@@ -97,7 +100,7 @@ class ServerClient:
         body = None
         headers = {}
         if payload is not None:
-            body = json.dumps(payload, separators=(",", ":"))
+            body = json_body(payload)
             headers["Content-Type"] = "application/json"
         if self._client_id is not None:
             headers["X-Client-Id"] = str(self._client_id)
@@ -121,8 +124,8 @@ class ServerClient:
         if raw and 200 <= status < 300:
             return data.decode("utf-8")
         try:
-            decoded = json.loads(data.decode("utf-8")) if data else {}
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            decoded = orjson.loads(data) if data else {}
+        except orjson.JSONDecodeError:
             decoded = {"error": data.decode("utf-8", "replace")}
         if not 200 <= status < 300:
             raise ServerError(

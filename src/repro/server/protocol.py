@@ -1,10 +1,10 @@
 """Minimal HTTP/1.1 wire protocol over asyncio streams.
 
-The server is deliberately stdlib-only and hand-rolled on
-``asyncio.start_server``: :func:`read_request` parses one request from a
-stream (request line, headers, ``Content-Length`` body) and
-:func:`render_response` serializes one response.  Only the subset the
-service needs is implemented -- no chunked bodies, no multipart, no
+The server is hand-rolled on ``asyncio.start_server``:
+:func:`read_request` parses one request from a stream (request line,
+headers, ``Content-Length`` body) and :func:`render_response`
+serializes one response.  Only the subset the service needs is
+implemented -- no chunked bodies, no multipart, no
 ``Expect: 100-continue`` -- and everything outside that subset is
 rejected loudly with the right status code rather than guessed at.
 
@@ -16,9 +16,10 @@ the server buffer unbounded input.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlsplit
+
+import orjson
 
 #: Exceptions meaning "the stream ended mid-read".
 _READ_ERRORS = (asyncio.IncompleteReadError, asyncio.LimitOverrunError)
@@ -80,8 +81,8 @@ class Request:
         if not self.body:
             return {}
         try:
-            payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = orjson.loads(self.body)
+        except orjson.JSONDecodeError as exc:
             raise ProtocolError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise ProtocolError(400, "JSON body must be an object")
@@ -176,11 +177,14 @@ def render_response(status, body=b"", *, content_type="application/json",
 
 
 def json_body(payload):
-    """Encode a JSON response body.
+    """Encode a JSON response body with ``orjson``.
 
-    ``json.dumps`` renders floats with ``repr``, the shortest string
-    that round-trips the exact float64 -- which is what makes the HTTP
-    query path value-identical to the in-process engine (pinned by the
-    serving equivalence suite).
+    Floats are written as the shortest text that parses back to the
+    same float64 (so ``1e-05`` reads ``0.00001``), which is what keeps
+    the HTTP query path value-identical to the in-process engine
+    (pinned by the serving equivalence suite).  NaN and +-inf become
+    ``null``.  Numpy arrays are encoded in place without building
+    lists; they must be C-contiguous, and float arrays must be float64
+    -- a float32 array would be written as float32 text.
     """
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)

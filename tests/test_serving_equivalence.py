@@ -99,10 +99,10 @@ def test_worker_count_does_not_change_answers():
 def test_http_round_trip_matches_sequential_float64():
     """The whole network path preserves the determinism contract.
 
-    JSON encodes floats via ``repr`` (shortest round-trip string), so
-    estimates decoded from the HTTP body and re-packed as float64 must
-    be byte-identical to the sequential loop -- the acceptance bar for
-    serving over the wire.
+    The server writes each float as the shortest text that round-trips
+    the float64, so estimates decoded from the HTTP body and re-packed
+    as float64 must be byte-identical to the sequential loop -- the
+    acceptance bar for serving over the wire.
     """
     from repro.server import ServerClient, ServerConfig, start_in_thread
 
