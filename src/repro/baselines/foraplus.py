@@ -26,7 +26,7 @@ from repro.core.result import SSRWRResult
 from repro.errors import ParameterError
 from repro.graph.hop import expand_ranges
 from repro.push.forward import forward_push_loop, init_state
-from repro.walks.engine import sample_walk_endpoints_batch
+from repro.walks.engine import walk_endpoints
 
 
 class ForaPlusIndex:
@@ -64,9 +64,7 @@ class ForaPlusIndex:
         self._endpoint_indptr = np.zeros(graph.n + 1, dtype=np.int64)
         np.cumsum(budgets, out=self._endpoint_indptr[1:])
         starts = np.repeat(np.arange(graph.n, dtype=np.int64), budgets)
-        self._endpoints = sample_walk_endpoints_batch(
-            graph, starts, alpha, rng
-        )
+        self._endpoints = walk_endpoints(graph, starts, alpha, rng)
         self.preprocess_seconds = time.perf_counter() - tic
 
     @property

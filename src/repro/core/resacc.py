@@ -72,7 +72,7 @@ def resacc(graph, source, *, params=None, accuracy=None, rng=None, seed=0,
         from ``SeedSequence(seed)`` shard streams, so it requires
         seed-based randomness -- combining it with an explicit ``rng``
         raises :class:`ParameterError`.  The default ``walk_workers=1``
-        keeps the serial path bit-for-bit unchanged.
+        runs the serial sampler on ``rng``.
 
     Returns an :class:`SSRWRResult` whose ``phase_seconds`` carries the
     Table VII breakdown (``hhopfwd`` / ``omfwd`` / ``remedy``).

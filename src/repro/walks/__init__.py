@@ -4,7 +4,7 @@ from repro.walks.engine import (
     MAX_WALK_STEPS,
     residue_weighted_walks,
     sample_walk_endpoints,
-    sample_walk_endpoints_batch,
+    walk_endpoints,
     walk_terminal_mass,
     walk_visit_mass,
     walks_from_single_source,
@@ -17,7 +17,7 @@ __all__ = [
     "SharedCSRGraph",
     "residue_weighted_walks",
     "sample_walk_endpoints",
-    "sample_walk_endpoints_batch",
+    "walk_endpoints",
     "walk_terminal_mass",
     "walk_visit_mass",
     "walks_from_single_source",

@@ -1,14 +1,21 @@
 """Vectorized Random-Walk-with-Restart simulation.
 
 A single RWR walk starts at a node and, at every step, terminates with
-probability ``alpha`` or moves to a uniformly random out-neighbour.  The
-engine simulates whole batches of walks simultaneously: each numpy round
-advances every still-alive walk by one step, so the Python-level loop runs
-only ``O(max walk length)`` times (expected length is ``1 / alpha``).
+probability ``alpha`` or moves to a uniformly random out-neighbour, so
+its number of moves is ``Geometric(alpha) - 1``.  The engine draws that
+length for every walk of a batch up front, orders the walks longest
+first, and then advances the contiguous prefix of walks still moving,
+one numpy round per step.  The Python-level loop runs ``max length``
+times, each round touches only the walks that move, and no round
+compacts a mask or scatters through an index array.
+
+Dangling nodes follow the graph's policy: under ``"absorb"`` a walk at a
+dangling node stays there; under ``"restart"`` a move from a dangling
+node jumps back to the walk's origin.
 
 All Monte-Carlo components of the library -- MC sampling [9], FORA's and
-ResAcc's remedy phases, BiPPR's forward walks -- are built on
-:func:`walk_terminal_mass`.
+ResAcc's remedy phases, BiPPR's forward walks, the FORA+ index -- are
+built on :func:`walk_endpoints`.
 """
 
 from __future__ import annotations
@@ -22,10 +29,71 @@ from repro.errors import ConvergenceError, ParameterError
 MAX_WALK_STEPS = 10_000
 
 #: Walks are simulated in batches of at most this many to bound peak
-#: memory: each live walk costs ~3 int64/float64 slots, so the default
+#: memory: each walk costs a few int64/float64 slots, so the default
 #: caps the engine's working set at a few hundred MB even when a query
 #: needs tens of millions of walks.
 DEFAULT_WALK_CHUNK = 4_000_000
+
+
+def walk_endpoints(graph, starts, alpha, rng, *, source=None,
+                   max_steps=MAX_WALK_STEPS):
+    """Final node of one walk per entry of ``starts``, in input order.
+
+    Each walk's number of moves is drawn first, by inversion from one
+    ``rng.random`` value per walk.  ``source`` is the walk origin the
+    ``"restart"`` policy jumps back to; it defaults to the walk's own
+    start node.  Raises :class:`ConvergenceError` when a walk would need
+    ``max_steps`` or more moves.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.ndim != 1:
+        raise ParameterError("starts must be a 1-D array of node ids")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    num_walks = starts.shape[0]
+    if num_walks == 0:
+        return starts.copy()
+    # P(moves >= t) = P(1 - u <= (1 - alpha)^t) = (1 - alpha)^t.
+    lengths = np.log1p(-rng.random(num_walks)) / np.log1p(-alpha)
+    longest = lengths.max()
+    if longest >= max_steps:
+        raise ConvergenceError(
+            f"{int(np.count_nonzero(lengths >= max_steps))} walks still "
+            f"alive after {max_steps} steps"
+        )
+    longest = int(longest)
+    # The smallest integer dtype sends argsort down its radix path.
+    lengths = lengths.astype(np.min_scalar_type(longest))
+    order = np.argsort(lengths, kind="stable")[::-1]
+    # moving[t]: walks with more than t moves, i.e. position[:moving[t]].
+    moving = num_walks - np.cumsum(np.bincount(lengths))[:longest]
+
+    indptr, indices = graph.indptr, graph.indices
+    degrees = graph.out_degrees
+    position = starts[order]
+    has_dangling = not degrees.all()
+    restart = has_dangling and graph.dangling == "restart"
+    if restart:
+        origin = (np.full(num_walks, int(source), dtype=np.int64)
+                  if source is not None else position.copy())
+    for k in moving.tolist():
+        current = position[:k]
+        deg = degrees[current]
+        step = indptr[current]
+        step += (rng.random(k) * deg).astype(np.int64)
+        if not has_dangling:
+            # Any mode but "raise" lets take write through ``out``
+            # without buffering; no offset is out of range here.
+            indices.take(step, out=current, mode="clip")
+            continue
+        # A dangling node has no slot of its own (its indptr entry may
+        # be m), so clip the gather and overwrite those walks after.
+        stay = origin[:k] if restart else current
+        nxt = indices.take(step, mode="clip") if indices.size else stay
+        position[:k] = np.where(deg == 0, stay, nxt)
+    endpoints = np.empty_like(position)
+    endpoints[order] = position
+    return endpoints
 
 
 def walk_terminal_mass(graph, starts, alpha, rng, *, weights=None,
@@ -53,15 +121,15 @@ def walk_terminal_mass(graph, starts, alpha, rng, *, weights=None,
     walks that terminated at ``t``.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    if chunk_size is not None and starts.shape[0] > chunk_size:
-        if starts.ndim != 1:
-            raise ParameterError("starts must be a 1-D array of node ids")
+    if starts.ndim != 1:
+        raise ParameterError("starts must be a 1-D array of node ids")
+    if weights is not None:
         # Convert weights exactly once -- re-running asarray over the
         # full array per chunk would cost O(chunks * total walks).
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != starts.shape:
-                raise ParameterError("weights must match starts in shape")
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != starts.shape:
+            raise ParameterError("weights must match starts in shape")
+    if chunk_size is not None and starts.shape[0] > chunk_size:
         mass = np.zeros(graph.n, dtype=np.float64)
         for begin in range(0, starts.shape[0], chunk_size):
             end = begin + chunk_size
@@ -71,68 +139,10 @@ def walk_terminal_mass(graph, starts, alpha, rng, *, weights=None,
                 source=source, max_steps=max_steps, chunk_size=None,
             )
         return mass
-    if starts.ndim != 1:
-        raise ParameterError("starts must be a 1-D array of node ids")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    num_walks = starts.shape[0]
-    if weights is None:
-        weights = np.ones(num_walks, dtype=np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != starts.shape:
-            raise ParameterError("weights must match starts in shape")
-    mass = np.zeros(graph.n, dtype=np.float64)
-    if num_walks == 0:
-        return mass
-
-    indptr, indices = graph.indptr, graph.indices
-    degrees = graph.out_degrees
-    restart = graph.dangling == "restart"
-    if restart:
-        restart_to = (np.full(num_walks, int(source), dtype=np.int64)
-                      if source is not None else starts.copy())
-
-    position = starts.copy()
-    alive = np.arange(num_walks, dtype=np.int64)
-    for _ in range(max_steps):
-        if alive.size == 0:
-            return mass
-        current = position[alive]
-        deg = degrees[current]
-        stop = rng.random(alive.size) < alpha
-        if restart:
-            # Dangling nodes bounce the walk back to its origin; the
-            # alpha-termination coin still applies first.
-            finished = stop
-        else:
-            finished = stop | (deg == 0)
-        done = alive[finished]
-        if done.size:
-            mass += np.bincount(position[done], weights=weights[done],
-                                minlength=graph.n)
-        moving = alive[~finished]
-        if moving.size:
-            cur = position[moving]
-            deg_m = degrees[cur]
-            if restart:
-                dangling = deg_m == 0
-                if dangling.any():
-                    position[moving[dangling]] = restart_to[moving[dangling]]
-                    moving_fwd = moving[~dangling]
-                else:
-                    moving_fwd = moving
-            else:
-                moving_fwd = moving
-            if moving_fwd.size:
-                cur = position[moving_fwd]
-                offsets = (rng.random(moving_fwd.size)
-                           * degrees[cur]).astype(np.int64)
-                position[moving_fwd] = indices[indptr[cur] + offsets]
-        alive = moving
-    raise ConvergenceError(
-        f"{alive.size} walks still alive after {max_steps} steps"
-    )
+    endpoints = walk_endpoints(graph, starts, alpha, rng, source=source,
+                               max_steps=max_steps)
+    mass = np.bincount(endpoints, weights=weights, minlength=graph.n)
+    return mass.astype(np.float64, copy=False)
 
 
 def walks_from_single_source(graph, source, num_walks, alpha, rng,
@@ -170,9 +180,10 @@ def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
     The parallel path draws from per-shard ``SeedSequence(walk_seed)``
     streams instead of ``rng`` and therefore *requires* ``walk_seed``;
     results are byte-identical across runs for a fixed ``(walk_seed,
-    n_shards)``.  The default ``walk_workers=1`` path is bit-for-bit
-    identical to the historical serial sampler (it consumes ``rng``
-    exactly as before).  See ``docs/parallel_walks.md``.
+    n_shards)``.  The default ``walk_workers=1`` path expands the runs
+    and makes one :func:`walk_terminal_mass` (or :func:`walk_visit_mass`)
+    call on ``rng``, so its answer is a function of the ``rng`` state.
+    See ``docs/parallel_walks.md``.
 
     Returns ``(mass, walks_used)``.
     """
@@ -196,12 +207,11 @@ def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
     r_sum = float(r_pos.sum())
     per_node = np.ceil(r_pos * (float(total_walks) / r_sum)).astype(np.int64)
     per_node = np.maximum(per_node, 1)
-    starts = np.repeat(positive, per_node)
-    weights = np.repeat(r_pos / per_node, per_node)
+    per_walk = r_pos / per_node
     walks_used = int(per_node.sum())
     if parallel:
         mass, shard_sizes = _parallel_walk_batch(
-            graph, starts, weights, alpha, source=source,
+            graph, positive, per_node, per_walk, alpha, source=source,
             estimator=estimator, walk_seed=walk_seed,
             walk_workers=walk_workers, executor=executor,
         )
@@ -211,6 +221,8 @@ def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
                                walk_shards=len(shard_sizes))
             trace.note(walk_shard_walks=shard_sizes)
         return mass, walks_used
+    starts = np.repeat(positive, per_node)
+    weights = np.repeat(per_walk, per_node)
     if estimator == "visits":
         mass = walk_visit_mass(graph, starts, alpha, rng, weights=weights)
     else:
@@ -222,74 +234,23 @@ def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
     return mass, walks_used
 
 
-def _parallel_walk_batch(graph, starts, weights, alpha, *, source,
+def _parallel_walk_batch(graph, origins, counts, weights, alpha, *, source,
                          estimator, walk_seed, walk_workers, executor):
-    """Dispatch one walk batch to a (possibly temporary) process pool."""
+    """Dispatch one batch of origin runs to a (possibly temporary) pool."""
     from repro.walks.parallel import ParallelWalkExecutor
 
+    kwargs = dict(counts=counts, weights=weights, source=source,
+                  seed=walk_seed, estimator=estimator)
     if executor is not None:
-        return executor.run(
-            starts, alpha, weights=weights, source=source,
-            seed=walk_seed, estimator=estimator,
-        )
+        return executor.run(origins, alpha, **kwargs)
     with ParallelWalkExecutor(graph, walk_workers) as pool:
-        return pool.run(
-            starts, alpha, weights=weights, source=source,
-            seed=walk_seed, estimator=estimator,
-        )
-
-
-def sample_walk_endpoints_batch(graph, starts, alpha, rng):
-    """Endpoint node of one walk per entry of ``starts``.
-
-    Unlike :func:`walk_terminal_mass` this keeps the individual endpoints
-    rather than aggregating them -- what the FORA+ index builder stores.
-    Under the ``"restart"`` policy each walk bounces back to its own start.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    num_walks = starts.shape[0]
-    endpoints = np.empty(num_walks, dtype=np.int64)
-    if num_walks == 0:
-        return endpoints
-    indptr, indices = graph.indptr, graph.indices
-    degrees = graph.out_degrees
-    position = starts.copy()
-    alive = np.arange(num_walks, dtype=np.int64)
-    restart = graph.dangling == "restart"
-    for _ in range(MAX_WALK_STEPS):
-        if alive.size == 0:
-            return endpoints
-        current = position[alive]
-        deg = degrees[current]
-        stop = rng.random(alive.size) < alpha
-        finished = stop if restart else (stop | (deg == 0))
-        done = alive[finished]
-        endpoints[done] = position[done]
-        moving = alive[~finished]
-        if moving.size:
-            cur = position[moving]
-            deg_m = degrees[cur]
-            if restart:
-                dangling = deg_m == 0
-                position[moving[dangling]] = starts[moving[dangling]]
-                moving_fwd = moving[~dangling]
-            else:
-                moving_fwd = moving
-            if moving_fwd.size:
-                cur = position[moving_fwd]
-                offsets = (rng.random(moving_fwd.size)
-                           * degrees[cur]).astype(np.int64)
-                position[moving_fwd] = indices[indptr[cur] + offsets]
-        alive = moving
-    raise ConvergenceError(
-        f"{alive.size} walks still alive after {MAX_WALK_STEPS} steps"
-    )
+        return pool.run(origins, alpha, **kwargs)
 
 
 def sample_walk_endpoints(graph, source, num_walks, alpha, rng):
     """Endpoint node of each of ``num_walks`` walks from ``source``."""
     starts = np.full(int(num_walks), int(source), dtype=np.int64)
-    return sample_walk_endpoints_batch(graph, starts, alpha, rng)
+    return walk_endpoints(graph, starts, alpha, rng)
 
 
 def walk_visit_mass(graph, starts, alpha, rng, *, weights=None,

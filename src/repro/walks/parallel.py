@@ -2,10 +2,10 @@
 
 The remedy phase dominates ResAcc query time (Table VII), and the
 vectorized engine in :mod:`repro.walks.engine` advances every walk on a
-single core.  This module shards one walk batch -- the ``(starts,
-weights)`` arrays produced by :func:`repro.walks.residue_weighted_walks`
--- across a ``ProcessPoolExecutor`` so the kernel scales with hardware
-instead of being pinned to one core by the interpreter.
+single core.  This module shards one walk batch -- the origin runs
+produced by :func:`repro.walks.residue_weighted_walks` -- across a
+``ProcessPoolExecutor`` so the kernel scales with hardware instead of
+being pinned to one core by the interpreter.
 
 Two mechanisms make the fan-out cheap and reproducible:
 
@@ -13,12 +13,13 @@ Two mechanisms make the fan-out cheap and reproducible:
   arrays (``indptr`` / ``indices`` / ``out_degrees``) into POSIX shared
   memory once; workers attach by *name* and wrap the same pages in numpy
   views.  The graph is never pickled -- only the tiny handle dict and
-  the per-shard start/weight slices cross the process boundary.
+  each shard's origin runs ``(origin, count, per-walk weight)`` cross
+  the process boundary; the worker expands them with ``np.repeat``.
 
 * **Per-shard RNG streams.**  Shard ``i`` of ``k`` draws from
   ``numpy.random.SeedSequence(seed).spawn(k)[i]`` -- independent,
   non-overlapping streams by construction.  Shard boundaries are a pure
-  function of ``(len(starts), k)`` and shard masses are reduced in shard
+  function of ``(total walks, k)`` and shard masses are reduced in shard
   order, so the result is **byte-identical across runs for a fixed**
   ``(seed, k)`` and statistically equivalent (same estimator, same walk
   budget) across shard counts.  See ``docs/parallel_walks.md`` for the
@@ -230,10 +231,13 @@ def _detach_all():
 atexit.register(_detach_all)
 
 
-def _run_shard(handle, starts, weights, alpha, source, seed_seq,
+def _run_shard(handle, origins, counts, weights, alpha, source, seed_seq,
                estimator, max_steps, chunk_size):
     """One shard's walks; runs inside a pool worker.
 
+    The shard arrives as origin runs -- ``counts[i]`` walks from
+    ``origins[i]``, each weighing ``weights[i]`` -- and is expanded here,
+    so the task pickles a few bytes per run instead of 16 per walk.
     Returns ``(mass, num_walks)``.  ``seed_seq`` is the shard's spawned
     :class:`numpy.random.SeedSequence` (picklable), turned into a fresh
     generator here so streams never depend on worker scheduling.
@@ -242,6 +246,9 @@ def _run_shard(handle, starts, weights, alpha, source, seed_seq,
 
     graph = _attach(handle)
     rng = np.random.default_rng(seed_seq)
+    starts = np.repeat(origins, counts)
+    if weights is not None:
+        weights = np.repeat(weights, counts)
     kwargs = {}
     if max_steps is not None:
         kwargs["max_steps"] = max_steps
@@ -253,6 +260,14 @@ def _run_shard(handle, starts, weights, alpha, source, seed_seq,
                                   weights=weights, source=source,
                                   chunk_size=chunk_size, **kwargs)
     return mass, int(starts.shape[0])
+
+
+def _shard_runs(begins, ends, lo, hi):
+    """The runs holding walks ``[lo, hi)`` of the expanded batch: their
+    slice, and how many of each run's walks fall inside the range."""
+    runs = slice(int(np.searchsorted(ends, lo, side="right")),
+                 int(np.searchsorted(begins, hi, side="left")))
+    return runs, np.minimum(ends[runs], hi) - np.maximum(begins[runs], lo)
 
 
 class ParallelWalkExecutor:
@@ -292,11 +307,17 @@ class ParallelWalkExecutor:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def run(self, starts, alpha, *, weights=None, source=None, seed=0,
-            estimator="terminal", max_steps=None, chunk_size=None,
+    def run(self, starts, alpha, *, counts=None, weights=None, source=None,
+            seed=0, estimator="terminal", max_steps=None, chunk_size=None,
             n_shards=None):
         """Simulate one walk batch across the pool; returns
         ``(mass, shard_sizes)``.
+
+        The batch is given as origin runs: ``counts[i]`` walks start at
+        ``starts[i]``, each depositing ``weights[i]`` (default 1).
+        ``counts=None`` means one walk per entry of ``starts``.  Shards
+        cut the expanded walk sequence at the same points whichever way
+        it is given, and ship only the runs they cover.
 
         ``mass`` is the summed terminal (or visit) mass over all shards,
         reduced in shard order; ``shard_sizes`` lists the number of
@@ -314,6 +335,14 @@ class ParallelWalkExecutor:
         starts = np.asarray(starts, dtype=np.int64)
         if starts.ndim != 1:
             raise ParameterError("starts must be a 1-D array of node ids")
+        if counts is None:
+            counts = np.ones(starts.shape, dtype=np.int64)
+        else:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != starts.shape or (counts < 0).any():
+                raise ParameterError(
+                    "counts must be non-negative and match starts in shape"
+                )
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != starts.shape:
@@ -322,20 +351,23 @@ class ParallelWalkExecutor:
         if n_shards < 1:
             raise ParameterError(f"n_shards must be >= 1, got {n_shards}")
         n = self.handle["n"]
-        if starts.size == 0:
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        if total == 0:
             return np.zeros(n, dtype=np.float64), [0] * n_shards
-        bounds = np.linspace(0, starts.shape[0], n_shards + 1).astype(np.int64)
+        begins = ends - counts
+        bounds = np.linspace(0, total, n_shards + 1).astype(np.int64)
         streams = np.random.SeedSequence(int(seed)).spawn(n_shards)
-        futures = [
-            self._pool.submit(
-                _run_shard, self.handle,
-                starts[bounds[i]:bounds[i + 1]],
-                None if weights is None else weights[bounds[i]:bounds[i + 1]],
+        futures = []
+        for i in range(n_shards):
+            runs, shard_counts = _shard_runs(begins, ends, bounds[i],
+                                             bounds[i + 1])
+            futures.append(self._pool.submit(
+                _run_shard, self.handle, starts[runs], shard_counts,
+                None if weights is None else weights[runs],
                 float(alpha), source, streams[i], estimator, max_steps,
                 chunk_size,
-            )
-            for i in range(n_shards)
-        ]
+            ))
         mass = np.zeros(n, dtype=np.float64)
         shard_sizes = []
         # Reduce in shard order: float addition is not associative, and

@@ -81,16 +81,44 @@ class TestBudgetExhaustion:
             forward_push_loop(ba_graph, reserve, residue, 0.2, 1e-14,
                               max_pushes=10)
 
-    def test_walk_step_cap_raises(self, ba_graph):
-        class NeverStopRNG:
-            """Adversarial stream: the termination coin never fires."""
+    @staticmethod
+    def _rng_drawing_lengths(moves, alpha):
+        """Adversarial stream: the first draw (one uniform per walk, the
+        walk-length draw) is chosen so walk ``i`` makes ``moves[i]``
+        moves; later draws (neighbour offsets) come from a real stream.
+        """
+        # Mid-interval of {u : floor(log1p(-u) / log1p(-alpha)) == t}.
+        lengths = 1.0 - (1.0 - alpha) ** (np.asarray(moves) + 0.5)
+
+        class LengthRNG:
+            def __init__(self):
+                self.first = True
+                self.inner = np.random.default_rng(0)
 
             def random(self, size=None):
-                return np.full(size, 0.999) if size is not None else 0.999
+                if self.first:
+                    self.first = False
+                    assert size == lengths.size
+                    return lengths.copy()
+                return self.inner.random(size)
 
+        return LengthRNG()
+
+    def test_walk_step_cap_raises(self, ba_graph):
+        # One walk of four needs max_steps moves: the cap fires before
+        # any walk moves.
+        rng = self._rng_drawing_lengths([0, 3, 50, 1], 0.2)
         with pytest.raises(ConvergenceError):
             walk_terminal_mass(ba_graph, np.zeros(4, np.int64), 0.2,
-                               NeverStopRNG(), max_steps=50)
+                               rng, max_steps=50)
+
+    def test_walk_step_cap_boundary_succeeds(self, ba_graph):
+        # A longest walk of max_steps - 1 moves fits under the cap.
+        rng = self._rng_drawing_lengths([0, 3, 49, 1], 0.2)
+        mass = walk_terminal_mass(ba_graph, np.zeros(4, np.int64), 0.2,
+                                  rng, max_steps=50)
+        assert mass.sum() == pytest.approx(4.0)
+        assert mass[0] >= 1.0   # the zero-move walk ends where it starts
 
     def test_power_iteration_budget(self, ba_graph):
         from repro.baselines import power_iteration

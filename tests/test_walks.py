@@ -10,7 +10,7 @@ from repro.graph import from_edges, generators
 from repro.walks import (
     residue_weighted_walks,
     sample_walk_endpoints,
-    sample_walk_endpoints_batch,
+    walk_endpoints,
     walk_terminal_mass,
     walks_from_single_source,
 )
@@ -110,7 +110,7 @@ class TestEndpointSampling:
         g = generators.preferential_attachment(40, 2, seed=2)
         truth = ExactSolver(g, ALPHA).query(0).estimates
         starts = np.zeros(40_000, dtype=np.int64)
-        endpoints = sample_walk_endpoints_batch(g, starts, ALPHA, rng)
+        endpoints = walk_endpoints(g, starts, ALPHA, rng)
         empirical = np.bincount(endpoints, minlength=g.n) / starts.size
         assert np.max(np.abs(empirical - truth)) < 0.02
 
@@ -119,7 +119,7 @@ class TestEndpointSampling:
         assert np.all(endpoints == 5)
 
     def test_empty_batch(self, tiny_graph, rng):
-        out = sample_walk_endpoints_batch(tiny_graph,
+        out = walk_endpoints(tiny_graph,
                                           np.empty(0, np.int64), ALPHA, rng)
         assert out.size == 0
 
@@ -250,3 +250,151 @@ class TestChunkedEquivalence:
             walk_terminal_mass(g, np.zeros(10, np.int64), ALPHA,
                                np.random.default_rng(0),
                                weights=np.ones(9), chunk_size=4)
+
+
+class TestLengthFirstKernel:
+    """Edge cases of the length-first kernel (:func:`walk_endpoints`).
+
+    Each walk's move count is drawn before it moves; the walks still
+    moving at step ``t`` are a contiguous prefix of the longest-first
+    order.  These cases pin the paths where that layout meets dangling
+    nodes, empty adjacency and file-backed arrays.
+    """
+
+    @pytest.fixture
+    def dangling_graph(self):
+        """30 nodes; only nodes 0..23 have out-edges, so 24..29 dangle."""
+        gen = np.random.default_rng(3)
+        edges = np.column_stack([gen.integers(0, 24, size=120),
+                                 gen.integers(0, 30, size=120)])
+        return from_edges(30, edges)
+
+    @staticmethod
+    def _edgeless(n, policy="absorb"):
+        from repro.graph import CSRGraph
+
+        return CSRGraph(n, np.zeros(n + 1, dtype=np.int64),
+                        np.empty(0, dtype=np.int64), dangling=policy)
+
+    def test_edgeless_absorb_stays_at_start(self):
+        g = self._edgeless(5)
+        starts = np.arange(200, dtype=np.int64) % g.n
+        ends = walk_endpoints(g, starts, ALPHA, np.random.default_rng(0))
+        assert np.array_equal(ends, starts)
+
+    def test_edgeless_restart_jumps_to_origin(self):
+        g = self._edgeless(5, "restart")
+        starts = np.arange(20_000, dtype=np.int64) % g.n
+        own = walk_endpoints(g, starts, ALPHA, np.random.default_rng(0))
+        assert np.array_equal(own, starts)
+        ends = walk_endpoints(g, starts, ALPHA, np.random.default_rng(0),
+                              source=2)
+        # A walk that moves at all lands on the origin and stays there;
+        # only the zero-move walks (probability alpha) keep their start.
+        assert np.all((ends == starts) | (ends == 2))
+        kept = np.mean(ends[starts != 2] == starts[starts != 2])
+        assert kept == pytest.approx(ALPHA, abs=0.02)
+
+    def test_dangling_node_at_end_of_indices(self, tiny_graph):
+        # Node 5 is dangling and its indptr entry equals m: a gather at
+        # that offset would fall off the end of ``indices``.
+        assert tiny_graph.indptr[5] == tiny_graph.m
+        starts = np.full(5_000, 4, dtype=np.int64)
+        ends = walk_endpoints(tiny_graph, starts, ALPHA,
+                              np.random.default_rng(0))
+        assert set(np.unique(ends).tolist()) == {4, 5}
+        # Under "restart" a move from 5 jumps back to the start, 4.
+        restart = tiny_graph.with_dangling("restart")
+        ends = walk_endpoints(restart, starts, ALPHA,
+                              np.random.default_rng(0))
+        assert set(np.unique(ends).tolist()) == {4, 5}
+
+    def test_weights_none_equals_unit_weights(self, ba_graph):
+        starts = np.arange(3_000, dtype=np.int64) % ba_graph.n
+        plain = walk_terminal_mass(ba_graph, starts, ALPHA,
+                                   np.random.default_rng(5))
+        unit = walk_terminal_mass(ba_graph, starts, ALPHA,
+                                  np.random.default_rng(5),
+                                  weights=np.ones(starts.size))
+        assert plain.dtype == np.float64
+        assert plain.tobytes() == unit.tobytes()
+
+    def test_restart_with_and_without_source(self):
+        g = from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 2)]) \
+            .with_dangling("restart")
+        starts = np.repeat(np.array([0, 4], dtype=np.int64), 30_000)
+        pi0 = power_iteration(g, 0, alpha=ALPHA, tol=1e-13).estimates
+        pi4 = power_iteration(g, 4, alpha=ALPHA, tol=1e-13).estimates
+        # Without ``source`` each walk restarts at its own start node.
+        own = walk_terminal_mass(g, starts, ALPHA, np.random.default_rng(1))
+        assert np.max(np.abs(own / starts.size - (pi0 + pi4) / 2)) < 0.02
+        # With ``source`` every walk restarts there; from 0 itself that is
+        # pi(0, .) exactly, from 4 it is no RWR vector of either node.
+        shared = walk_terminal_mass(g, np.zeros(60_000, np.int64), ALPHA,
+                                    np.random.default_rng(2), source=0)
+        assert np.max(np.abs(shared / 60_000 - pi0)) < 0.02
+        moved = walk_endpoints(g, np.full(60_000, 4, np.int64), ALPHA,
+                               np.random.default_rng(3), source=0)
+        assert np.mean(moved == 0) > 0.05   # restarts reach node 0
+        assert np.mean(walk_endpoints(
+            g, np.full(60_000, 4, np.int64), ALPHA,
+            np.random.default_rng(3)) == 0) == 0.0
+
+    @pytest.mark.parametrize("policy", ["absorb", "restart"])
+    def test_mmap_graph_matches_in_memory(self, dangling_graph, policy,
+                                          tmp_path):
+        from repro.graph.io import load_mmap, save_mmap
+
+        g = dangling_graph.with_dangling(policy)
+        save_mmap(g, tmp_path / "g.rcsr")
+        mapped = load_mmap(tmp_path / "g.rcsr")
+        assert isinstance(mapped.indices, np.memmap)
+        assert mapped.dangling == policy
+        starts = np.arange(4_000, dtype=np.int64) % g.n
+        a = walk_endpoints(g, starts, ALPHA, np.random.default_rng(7))
+        b = walk_endpoints(mapped, starts, ALPHA, np.random.default_rng(7))
+        assert a.tobytes() == b.tobytes()
+
+    def test_absorb_distribution_with_dangling(self, dangling_graph):
+        truth = ExactSolver(dangling_graph, ALPHA).query(0).estimates
+        assert truth[24:].sum() > 0.05   # walks do reach the dangling end
+        mass = walks_from_single_source(dangling_graph, 0, 60_000, ALPHA,
+                                        np.random.default_rng(11))
+        assert np.max(np.abs(mass / 60_000 - truth)) < 0.02
+
+    def test_restart_distribution_with_dangling(self, dangling_graph):
+        g = dangling_graph.with_dangling("restart")
+        truth = power_iteration(g, 0, alpha=ALPHA, tol=1e-13).estimates
+        mass = walks_from_single_source(g, 0, 60_000, ALPHA,
+                                        np.random.default_rng(12))
+        assert np.max(np.abs(mass / 60_000 - truth)) < 0.02
+
+    def test_mean_moves_per_walk(self, ba_graph):
+        class CountingRNG:
+            """Counts uniforms: one length draw per walk plus one
+            neighbour offset per move."""
+
+            def __init__(self, seed):
+                self.inner = np.random.default_rng(seed)
+                self.drawn = 0
+
+            def random(self, size):
+                self.drawn += size
+                return self.inner.random(size)
+
+        num_walks = 200_000
+        rng = CountingRNG(13)
+        walk_endpoints(ba_graph, np.zeros(num_walks, np.int64), ALPHA, rng)
+        moves = (rng.drawn - num_walks) / num_walks
+        assert moves == pytest.approx((1 - ALPHA) / ALPHA, abs=0.05)
+
+    def test_deterministic_per_seed_and_input_order(self, ba_graph):
+        starts = np.arange(5_000, dtype=np.int64) % ba_graph.n
+        a = walk_endpoints(ba_graph, starts, ALPHA, np.random.default_rng(3))
+        b = walk_endpoints(ba_graph, starts, ALPHA, np.random.default_rng(3))
+        assert a.tobytes() == b.tobytes()
+        # Endpoints come back in input order: a zero-move walk (every
+        # walk at alpha ~ 1) ends where it started.
+        still = walk_endpoints(ba_graph, starts, 1 - 1e-12,
+                               np.random.default_rng(3))
+        assert np.array_equal(still, starts)

@@ -130,10 +130,54 @@ class TestExecutorDeterminism:
         assert sum(sizes) == 0
 
 
+class TestOriginRuns:
+    """Shards travel as ``(origin, count, per-walk weight)`` runs."""
+
+    def test_shard_runs_cover_expanded_slices(self):
+        from repro.walks.parallel import _shard_runs
+
+        gen = np.random.default_rng(0)
+        origins = np.arange(40, dtype=np.int64)
+        counts = gen.integers(0, 9, size=40)   # zero-count runs included
+        expanded = np.repeat(origins, counts)
+        ends = np.cumsum(counts)
+        begins = ends - counts
+        total = int(ends[-1])
+        for n_shards in (1, 2, 3, 7, total + 2):
+            bounds = np.linspace(0, total, n_shards + 1).astype(np.int64)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                runs, shard_counts = _shard_runs(begins, ends, lo, hi)
+                assert np.array_equal(
+                    np.repeat(origins[runs], shard_counts), expanded[lo:hi]
+                )
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_runs_byte_identical_to_expanded(self, pool, shards):
+        origins = np.array([3, 17, 150, 4], dtype=np.int64)
+        counts = np.array([700, 1, 0, 1_299], dtype=np.int64)
+        per_walk = np.array([4e-5, 0.01, 0.5, 1e-5])
+        runs, run_sizes = pool.run(origins, ALPHA, counts=counts,
+                                   weights=per_walk, seed=5,
+                                   n_shards=shards)
+        flat, flat_sizes = pool.run(np.repeat(origins, counts), ALPHA,
+                                    weights=np.repeat(per_walk, counts),
+                                    seed=5, n_shards=shards)
+        assert runs.tobytes() == flat.tobytes()
+        assert run_sizes == flat_sizes
+        assert sum(run_sizes) == 2_000
+
+    def test_bad_counts_rejected(self, pool):
+        with pytest.raises(ParameterError):
+            pool.run(np.array([1, 2]), ALPHA, counts=np.array([1]))
+        with pytest.raises(ParameterError):
+            pool.run(np.array([1, 2]), ALPHA, counts=np.array([1, -1]))
+
+
 class TestEngineIntegration:
     def test_serial_path_bit_for_bit_unchanged(self, pgraph, residue):
-        # walk_workers=1 must consume rng exactly as the historical
-        # serial sampler: same generator state, same bytes out.
+        # walk_workers=1 is the serial sampler: it consumes rng exactly
+        # as a call without the argument, same generator state, same
+        # bytes out.
         mass_a, used_a = residue_weighted_walks(
             pgraph, residue, 2_000, ALPHA, np.random.default_rng(0)
         )
