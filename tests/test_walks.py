@@ -269,21 +269,14 @@ class TestLengthFirstKernel:
                                  gen.integers(0, 30, size=120)])
         return from_edges(30, edges)
 
-    @staticmethod
-    def _edgeless(n, policy="absorb"):
-        from repro.graph import CSRGraph
-
-        return CSRGraph(n, np.zeros(n + 1, dtype=np.int64),
-                        np.empty(0, dtype=np.int64), dangling=policy)
-
     def test_edgeless_absorb_stays_at_start(self):
-        g = self._edgeless(5)
+        g = TestChunkedEquivalence._edgeless(5)
         starts = np.arange(200, dtype=np.int64) % g.n
         ends = walk_endpoints(g, starts, ALPHA, np.random.default_rng(0))
         assert np.array_equal(ends, starts)
 
     def test_edgeless_restart_jumps_to_origin(self):
-        g = self._edgeless(5, "restart")
+        g = TestChunkedEquivalence._edgeless(5).with_dangling("restart")
         starts = np.arange(20_000, dtype=np.int64) % g.n
         own = walk_endpoints(g, starts, ALPHA, np.random.default_rng(0))
         assert np.array_equal(own, starts)
