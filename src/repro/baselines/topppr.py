@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.params import AccuracyParams, fora_r_max
 from repro.core.remedy import remedy
-from repro.core.result import SSRWRResult
+from repro.core.result import SSRWRResult, top_k_order
 from repro.errors import ParameterError
 from repro.push.backward import backward_push
 from repro.push.forward import forward_push_loop, init_state
@@ -72,7 +72,7 @@ def topppr(graph, source, k, *, alpha=0.2, accuracy=None, r_max=None,
     # Phase 3: backward certification of the candidate set.
     tic = time.perf_counter()
     num_candidates = min(int(np.ceil(rho * k)), graph.n, int(max_candidates))
-    candidates = np.argsort(-estimates, kind="stable")[:num_candidates]
+    candidates = top_k_order(estimates, num_candidates)
     backward_pushes = 0
     for t in candidates:
         reserve_b, residue_b, stats = backward_push(

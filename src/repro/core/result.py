@@ -18,10 +18,18 @@ def top_k_order(estimates, k):
     :meth:`SSRWRResult.top_k`, :func:`repro.core.topk.topk_ssrwr`, the
     dedicated solver in :mod:`repro.core.topk_solver` -- must order
     through this helper rather than sorting ad hoc.
+
+    The answer is ``np.argsort(-estimates, kind="stable")[:k]`` (NaNs
+    last), found in O(n): ``np.partition`` finds the k-th value, and
+    only the entries not below it (and any NaNs) are stable-sorted.
     """
-    estimates = np.asarray(estimates)
-    k = min(int(k), estimates.shape[0])
-    return np.argsort(-estimates, kind="stable")[:k]
+    neg = -np.asarray(estimates)
+    k = min(int(k), neg.shape[0])
+    if 0 < k < neg.shape[0]:
+        kth = np.partition(neg, k - 1)[k - 1]
+        candidates = np.flatnonzero(~(neg > kth))
+        return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+    return np.argsort(neg, kind="stable")[:k]
 
 
 @dataclass

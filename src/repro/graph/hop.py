@@ -69,11 +69,11 @@ def hop_structure(graph, source, max_hops):
         targets = _gather_neighbors(indptr, indices, frontier)
         fresh = targets[dist[targets] == UNREACHED]
         if fresh.size == 0:
-            frontier = fresh
-            continue
-        fresh = np.unique(fresh)
+            break
         dist[fresh] = level
-        frontier = fresh
+        # The nodes just labelled: sorted, and free of the duplicates
+        # ``fresh`` carries.
+        frontier = np.flatnonzero(dist == level)
     return HopStructure(source=int(source), max_hops=int(max_hops), distances=dist)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.result import top_k_order
 from repro.errors import ParameterError
 
 DEFAULT_K_GRID = (1, 10, 100, 1_000, 10_000, 100_000)
@@ -31,7 +32,7 @@ def abs_error_at_kth(truth, estimate, ks=DEFAULT_K_GRID):
     ``ks`` beyond ``n`` are clamped to ``n``.  Returns a dict ``k -> error``.
     """
     truth, estimate = _check_pair(truth, estimate)
-    order = np.argsort(-truth, kind="stable")
+    order = top_k_order(truth, max(ks, default=0))
     out = {}
     for k in ks:
         k_eff = min(int(k), truth.shape[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.result import top_k_order
 from repro.errors import ParameterError
 
 
@@ -32,8 +33,8 @@ def ndcg_at_k(truth, estimate, k):
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     k_eff = min(int(k), truth.shape[0])
-    predicted_order = np.argsort(-estimate, kind="stable")[:k_eff]
-    ideal_order = np.argsort(-truth, kind="stable")[:k_eff]
+    predicted_order = top_k_order(estimate, k_eff)
+    ideal_order = top_k_order(truth, k_eff)
     ideal = dcg(truth[ideal_order])
     if ideal == 0.0:
         return 1.0  # no mass to rank: any ordering is vacuously perfect
@@ -49,8 +50,8 @@ def precision_at_k(truth, estimate, k):
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     k_eff = min(int(k), truth.shape[0])
-    predicted = set(np.argsort(-estimate, kind="stable")[:k_eff].tolist())
-    actual = set(np.argsort(-truth, kind="stable")[:k_eff].tolist())
+    predicted = set(top_k_order(estimate, k_eff).tolist())
+    actual = set(top_k_order(truth, k_eff).tolist())
     return len(predicted & actual) / k_eff
 
 
@@ -63,7 +64,7 @@ def kendall_tau_top_k(truth, estimate, k):
     truth = np.asarray(truth, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     k_eff = min(int(k), truth.shape[0])
-    top = np.argsort(-truth, kind="stable")[:k_eff]
+    top = top_k_order(truth, k_eff)
     t_vals = truth[top]
     e_vals = estimate[top]
     concordant = 0

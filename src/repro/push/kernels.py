@@ -322,9 +322,17 @@ def _accumulate_matvec(operator, x, out):
     ``x`` is a vector or a C-order ``(n, B)`` block.  scipy's private CSR
     kernels accumulate straight into ``out`` row by row; builds without
     ``_sparsetools`` fall back to the public ``csr_matrix`` product.
+
+    A width-1 block goes to the 1-D kernel through ``(n,)`` views:
+    ``csr_matvecs`` makes one axpy call per nonzero, about twice the
+    cost of ``csr_matvec`` on the same arrays.  Both add each row's
+    products onto ``out[i]`` one at a time in CSR order, so the bits
+    are the same as for that column inside a wider block.
     """
     indptr, indices, data = operator
     n = indptr.shape[0] - 1
+    if x.ndim == 2 and x.shape[1] == 1:
+        x, out = x.reshape(-1), out.reshape(-1)
     if x.ndim == 1:
         if _csr_matvec is not None:
             _csr_matvec(n, n, indptr, indices, data, x, out)
@@ -618,15 +626,17 @@ def dense_reference_loop(graph, reserve, residue, alpha, r_max, *,
                                    minlength=graph.n)
 
 
-def _column_sum(block, j):
-    """Bit-stable sum of column ``j`` of a C-order block.
+def _row_sums(rows):
+    """Bit-stable sums of the rows of ``rows`` (block columns, transposed).
 
-    The copy makes the reduction run over a contiguous ``(n,)`` array,
-    so numpy's pairwise summation produces the same bits regardless of
-    the block width the column happens to live in -- the property that
-    makes blocked sweeps byte-identical to a ``B=1`` solo run.
+    One contiguous copy puts each wanted column of a C-order block in a
+    row, and numpy reduces each row of a C-order array with the same
+    pairwise summation it applies to a contiguous ``(n,)`` vector, so a
+    column's sum has the same bits whatever the block width it lives
+    in -- the property that makes blocked sweeps byte-identical to a
+    ``B=1`` solo run.
     """
-    return float(np.ascontiguousarray(block[:, j]).sum())
+    return np.ascontiguousarray(rows).sum(axis=1)
 
 
 def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
@@ -659,12 +669,17 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
       pay a column reduction.  The prediction uses only per-column
       scalars, so solo and blocked runs skip identically.
 
+    Every live column takes part in every sweep, so a column's sweep
+    count is the loop's; the per-sweep bookkeeping is a few whole-block
+    array operations, not a Python loop over columns.
+
     Per-column guarantees:
 
     * the sweep arithmetic (elementwise block updates, per-row CSR
-      accumulation via ``csr_matvecs``, contiguous-copy column sums) is
-      bitwise independent of the block width, so column ``c`` of a
-      ``B``-wide block matches a ``B=1`` run of the same state exactly;
+      accumulation -- ``csr_matvecs``, or ``csr_matvec`` at width 1 --
+      and transposed-copy column sums) is bitwise independent of the
+      block width, so column ``c`` of a ``B``-wide block matches a
+      ``B=1`` run of the same state exactly;
     * a column whose residue mass reaches ``tol`` is frozen at that
       sweep (its vectors written back immediately) and the block is
       compacted once at most half the columns remain, so early
@@ -692,50 +707,44 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
 
     r_sums = np.empty(num, dtype=np.float64)
     sweeps = np.zeros(num, dtype=np.int64)
-    check_from = {}
     # Decay is exactly (1-alpha) per sweep under "restart" (all mass
     # recirculates) and at most that under "absorb"; with absorbing
     # dangling nodes it can be faster, so prediction would only delay
     # the check past the true crossing -- check every sweep instead.
     predict = restart or dang_idx.size == 0
     log_decay = math.log(spread_scale) if spread_scale > 0.0 else None
-    active = []
+    active, check_from = [], []
     for c in range(num):
         r0 = float(np.ascontiguousarray(residues[c]).sum())
         if r0 <= tol:
             r_sums[c] = r0
+            continue
+        active.append(c)
+        if predict and log_decay is not None and log_decay < 0.0:
+            earliest = math.ceil(math.log(tol / r0) / log_decay)
+            check_from.append(max(1, int(earliest) - 2))
         else:
-            active.append(c)
-            if predict and log_decay is not None and log_decay < 0.0:
-                earliest = math.ceil(math.log(tol / r0) / log_decay)
-                check_from[c] = max(1, int(earliest) - 2)
-            else:
-                check_from[c] = 1
+            check_from.append(1)
     if not active:
         return r_sums, sweeps
 
-    # cols[j] is the original source slot living at block column j, or
-    # None once that column converged (frozen in place until the next
-    # compaction); col_src[j] is its restart target.
-    cols = list(active)
-    col_src = [int(sources[c]) for c in active]
-    width = len(cols)
+    # Block column j holds source slot cols[j] (restart target
+    # col_src[j]); alive[j] clears when it converges, and the column
+    # stays frozen in place until the next compaction.
+    cols = np.asarray(active, dtype=np.int64)
+    col_src = np.asarray(sources, dtype=np.int64)[cols]
+    check_at = np.asarray(check_from, dtype=np.int64)
+    width = cols.size
+    alive = np.ones(width, dtype=bool)
     n_alive = width
+    next_check = int(check_at.min())
     rr = cache.lease_block(width)    # current residue block
     nn = cache.lease_block(width)    # next-residue scratch
     acc = cache.lease_block(width)   # running sum of pushed residues
     leased = [rr, nn, acc]
     acc.fill(0.0)
-    for j, c in enumerate(cols):
+    for j, c in enumerate(active):
         rr[:, j] = residues[c]
-
-    def freeze(c, j, rs):
-        r_sums[c] = rs
-        res = reserves[c]
-        res += alpha * acc[:, j]
-        if dang_idx.size and not restart:
-            res[dang_idx] += spread_scale * acc[dang_idx, j]
-        residues[c][:] = rr[:, j]
 
     total = 0
     try:
@@ -749,48 +758,48 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
             acc += rr
             nn.fill(0.0)
             if restart and dang_idx.size:
-                for j in range(width):
-                    if cols[j] is None:
-                        continue
-                    dsum = float(rr[dang_idx, j].sum())
-                    if dsum != 0.0:
-                        nn[col_src[j], j] += spread_scale * dsum
+                # Frozen columns get a share too; nothing reads them.
+                dsums = _row_sums(rr[dang_idx].T)
+                nn[col_src, np.arange(width)] = spread_scale * dsums
             _accumulate_matvec(operator, rr, nn)
             rr, nn = nn, rr
-            for j in range(width):
-                c = cols[j]
-                if c is None:
-                    continue
-                sweeps[c] += 1
-                if sweeps[c] < check_from[c]:
-                    continue
-                rs = _column_sum(rr, j)
-                if rs <= tol:
-                    freeze(c, j, rs)
-                    cols[j] = None
-                    n_alive -= 1
+            if total < next_check:
+                continue
+            due = np.flatnonzero(alive & (check_at <= total))
+            rs = _row_sums(rr.T[due])
+            converged = rs <= tol
+            done = due[converged]
+            for j, value in zip(done.tolist(), rs[converged].tolist()):
+                c = int(cols[j])
+                r_sums[c] = value
+                sweeps[c] = total
+                res = reserves[c]
+                res += alpha * acc[:, j]
+                if dang_idx.size and not restart:
+                    res[dang_idx] += spread_scale * acc[dang_idx, j]
+                residues[c][:] = rr[:, j]
+            if not done.size:
+                continue
+            alive[done] = False
+            n_alive -= done.size
             if n_alive and n_alive <= width // 2:
+                keep = np.flatnonzero(alive)
                 new_rr = cache.lease_block(n_alive)
                 new_nn = cache.lease_block(n_alive)
                 new_acc = cache.lease_block(n_alive)
-                new_cols, new_src = [], []
-                k = 0
-                for j in range(width):
-                    if cols[j] is None:
-                        continue
-                    new_rr[:, k] = rr[:, j]
-                    new_acc[:, k] = acc[:, j]
-                    new_cols.append(cols[j])
-                    new_src.append(col_src[j])
-                    k += 1
+                np.take(rr, keep, axis=1, out=new_rr, mode="clip")
+                np.take(acc, keep, axis=1, out=new_acc, mode="clip")
                 for buf in leased:
                     cache.release_block(buf)
                 rr, nn, acc = new_rr, new_nn, new_acc
                 leased = [rr, nn, acc]
-                cols, col_src = new_cols, new_src
+                cols, col_src = cols[keep], col_src[keep]
+                check_at = check_at[keep]
                 width = n_alive
+                alive = np.ones(width, dtype=bool)
+            if n_alive:
+                next_check = int(check_at[alive].min())
     finally:
         for buf in leased:
             cache.release_block(buf)
     return r_sums, sweeps
-

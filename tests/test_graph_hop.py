@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.graph import from_edges, generators, hop_structure
+from repro.graph import CSRGraph, from_edges, generators, hop_structure
 from repro.graph.hop import UNREACHED, expand_ranges
 
 
@@ -74,6 +74,59 @@ class TestHopStructure:
         hops = hop_structure(g, 0, 4)
         assert hops.distances[2] == UNREACHED
         assert hops.distances[4] == UNREACHED
+
+
+def bfs_distances(graph, source, max_hops):
+    """Pure-Python BFS truncated at ``max_hops`` levels."""
+    dist = [UNREACHED] * graph.n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        if dist[u] == max_hops:
+            continue
+        for v in graph.out_neighbors(u).tolist():
+            if dist[v] == UNREACHED:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def raw_graph(seed):
+    """CSR graph built without ``from_edges``' cleaning or validation
+    (which reject them): it keeps parallel edges and self-loops, and
+    its last quarter of nodes has no in-edges (unreachable from any
+    other source)."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(12, 60))
+    reach = n - n // 4
+    src = gen.integers(0, n, size=4 * n)
+    dst = gen.integers(0, reach, size=src.size)
+    loops = gen.integers(0, n, size=n // 3)
+    doubled = gen.integers(0, src.size, size=n // 2)
+    src = np.concatenate([src, loops, src[doubled]])
+    dst = np.concatenate([dst, loops, dst[doubled]])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(n, indptr, dst[order].astype(np.int64),
+                    validate=False)
+
+
+class TestHopAgainstPythonBFS:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_parallel_edges_self_loops_unreachable(self, seed):
+        graph = raw_graph(seed)
+        pairs = list(zip(np.repeat(np.arange(graph.n), graph.out_degrees),
+                         graph.indices))
+        assert len(pairs) > len(set(pairs))                 # parallel edges
+        assert any(int(u) == int(v) for u, v in pairs)      # self-loops
+        for source in (0, graph.n // 2, graph.n - 1):
+            for max_hops in (0, 1, 2, 3, graph.n):
+                hops = hop_structure(graph, source, max_hops)
+                assert hops.distances.tolist() == bfs_distances(
+                    graph, source, max_hops)
+        assert (hop_structure(graph, 0, graph.n).distances
+                == UNREACHED).any()                         # unreachable
 
 
 class TestExpandRanges:

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.inverse import ExactSolver
 from repro.baselines.power import power_iteration
-from repro.core import AccuracyParams, resacc
+from repro.core import AccuracyParams, resacc, top_k_order
 from repro.core.hhop import h_hop_forward
 from repro.graph import from_edges, graph_digest, hop_structure
 from repro.graph.hop import UNREACHED, expand_ranges
@@ -176,6 +176,49 @@ def test_walks_terminate_and_conserve(g, seed, rng_seed):
     mass = walk_terminal_mass(g, starts, ALPHA,
                               np.random.default_rng(rng_seed))
     assert mass.sum() == pytest.approx(64.0)
+
+
+# ----------------------------------------------------------------------
+# Top-k ordering
+# ----------------------------------------------------------------------
+#: Few distinct values, so ties, signed zeros and NaNs are common.
+score_pool = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.nan])
+
+
+@st.composite
+def score_arrays(draw):
+    """Float arrays drawn from ``score_pool`` or from all floats, or
+    integer arrays with many ties."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    kind = draw(st.sampled_from(["pool", "floats", "ints"]))
+    if kind == "ints":
+        values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        return np.asarray(values, dtype=np.int64)
+    elements = score_pool if kind == "pool" else st.floats(width=64)
+    values = draw(st.lists(elements, min_size=n, max_size=n))
+    return np.asarray(values, dtype=np.float64)
+
+
+def k_for(n, choice, anywhere):
+    """``k`` named by ``choice``: 1, n-1, n, past n, or any in 1..n."""
+    return {"1": 1, "n-1": max(n - 1, 1), "n": n, ">n": n + 3,
+            "any": 1 + anywhere % n}[choice]
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_arrays(), st.sampled_from(["1", "n-1", "n", ">n", "any"]),
+       st.integers(0, 1_000))
+@example(np.zeros(7), "any", 2)                            # all equal
+@example(np.array([0.0, -0.0, 0.0, -0.0]), "any", 1)       # signed zeros
+@example(np.array([0.5, np.nan, np.nan, 0.2]), "any", 2)   # k-th is NaN
+@example(np.array([np.nan, np.nan, np.nan]), "1", 0)
+@example(np.array([3, 1, 3, 2], dtype=np.int64), "n-1", 0)
+def test_top_k_order_matches_stable_argsort(estimates, choice, anywhere):
+    k = k_for(estimates.shape[0], choice, anywhere)
+    want = np.argsort(-estimates, kind="stable")[:k]
+    got = top_k_order(estimates, k)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ Covers the PR's contracts:
   satisfying the invariant;
 * the per-snapshot cache (thresholds LRU, transpose, scratch leases)
   behaves and is retired by the serving engines' write gates;
+* a width-1 block runs scipy's 1-D kernel and gives the bits of the
+  same column inside a wider block, under both dangling policies;
 * the public ``csr_matrix`` fallback for scipy builds without the
   private ``_sparsetools`` kernels makes the same push decisions and
   reaches the same fixpoint (byte-equal on a preferential-attachment
@@ -310,6 +312,76 @@ class TestSnapshotCache:
             assert len(cache._thresholds) > 0
             assert engine.add_edge(0, 6)
             assert len(cache._thresholds) == 0
+
+
+# ---------------------------------------------------------------------------
+# Width-1 blocks run scipy's 1-D kernel with the bits of a wider block
+# ---------------------------------------------------------------------------
+class TestWidthOneKernel:
+    """A ``(n, 1)`` block goes to ``csr_matvec`` through ``(n,)`` views.
+
+    Both scipy kernels add each row's products onto ``out[i]`` one at
+    a time in CSR order, so a solo sweep has the bits of the same column
+    inside a wider block.
+    """
+
+    @pytest.mark.parametrize("dangling", ["absorb", "restart"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_width_one_equals_column_of_width_three(self, dangling, seed):
+        graph = random_dangling_graph(seed, dangling)
+        operator = get_push_cache(graph).power_operator(ALPHA)
+        gen = np.random.default_rng(seed)
+        n = graph.n
+        for _ in range(5):
+            x = gen.random(n) * (gen.random(n) < 0.6)   # sparse-ish input
+            start = gen.random(n) * 1e-3                # non-zero ``out``
+            solo_out = start.reshape(n, 1).copy()
+            kernels._accumulate_matvec(operator, x.reshape(n, 1).copy(),
+                                       solo_out)
+            block = gen.random((n, 3))
+            block[:, 1] = x
+            block_out = gen.random((n, 3))
+            block_out[:, 1] = start
+            kernels._accumulate_matvec(operator, block, block_out)
+            assert (solo_out.tobytes()
+                    == np.ascontiguousarray(block_out[:, 1]).tobytes())
+
+    def test_width_one_skips_the_multivector_kernel(self, monkeypatch):
+        if kernels._csr_matvec is None:
+            pytest.skip("scipy build without the private CSR kernels")
+        graph = random_dangling_graph(0, "absorb")
+        operator = get_push_cache(graph).power_operator(ALPHA)
+
+        def refuse(*args):
+            raise AssertionError("width-1 block reached csr_matvecs")
+
+        monkeypatch.setattr(kernels, "_csr_matvecs", refuse)
+        x = np.ones((graph.n, 1))
+        out = np.zeros((graph.n, 1))
+        kernels._accumulate_matvec(operator, x, out)
+        want = np.zeros(graph.n)
+        kernels._accumulate_matvec(operator, x.reshape(-1), want)
+        assert out.reshape(-1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dangling", ["absorb", "restart"])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_solo_sweeps_equal_blocked_column(self, dangling, seed):
+        """``power_block_loop`` at B=1 vs the same source inside B=3."""
+        graph = random_dangling_graph(seed, dangling)
+        sources = [0, graph.n // 2, graph.n - 1]
+        states = [init_state(graph, s) for s in sources]
+        reserves = [r.copy() for r, _ in states]
+        residues = [q.copy() for _, q in states]
+        r_sums, sweeps = kernels.power_block_loop(
+            graph, reserves, residues, ALPHA, 1e-10, np.asarray(sources))
+        for c, s in enumerate(sources):
+            reserve, residue = (a.copy() for a in states[c])
+            solo_sums, solo_sweeps = kernels.power_block_loop(
+                graph, [reserve], [residue], ALPHA, 1e-10, np.asarray([s]))
+            assert solo_sweeps[0] == sweeps[c] > 0
+            assert solo_sums[0] == r_sums[c]
+            assert reserve.tobytes() == reserves[c].tobytes()
+            assert residue.tobytes() == residues[c].tobytes()
 
 
 # ---------------------------------------------------------------------------
