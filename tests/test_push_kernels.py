@@ -15,6 +15,8 @@ Covers the PR's contracts:
   behaves and is retired by the serving engines' write gates;
 * a width-1 block runs scipy's 1-D kernel and gives the bits of the
   same column inside a wider block, under both dangling policies;
+* ``power_block_loop``'s decay prediction only skips checks: each
+  column freezes at the first sweep whose residue mass reaches ``tol``;
 * the public ``csr_matrix`` fallback for scipy builds without the
   private ``_sparsetools`` kernels makes the same push decisions and
   reaches the same fixpoint (byte-equal on a preferential-attachment
@@ -382,6 +384,46 @@ class TestWidthOneKernel:
             assert solo_sums[0] == r_sums[c]
             assert reserve.tobytes() == reserves[c].tobytes()
             assert residue.tobytes() == residues[c].tobytes()
+
+
+class TestSweepPrediction:
+    """The decay prediction only skips checks: every column still
+    freezes at the first sweep whose residue mass reaches ``tol``."""
+
+    @staticmethod
+    def first_crossing(graph, source, tol):
+        """Sweeps a plain ``P^T`` iteration needs to reach ``tol``."""
+        from scipy.sparse import csr_matrix
+
+        indptr, indices, data = get_push_cache(graph).power_operator(ALPHA)
+        step = csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
+        dangling = np.flatnonzero(graph.out_degrees == 0)
+        residue = np.zeros(graph.n)
+        residue[source] = 1.0
+        for sweep in range(1, 10_000):
+            spilled = residue[dangling].sum()
+            residue = step @ residue
+            if graph.dangling == "restart":
+                residue[source] += (1.0 - ALPHA) * spilled
+            mass = residue.sum()
+            assert abs(mass - tol) > 1e-9 * tol  # no rounding-close call
+            if mass <= tol:
+                return sweep
+        raise AssertionError("no crossing")
+
+    @pytest.mark.parametrize("graph", [
+        generators.preferential_attachment(300, 3, seed=0),
+        random_dangling_graph(5, "restart"),
+    ], ids=["no-dangling", "restart"])
+    def test_freeze_at_first_crossing(self, graph):
+        sources = [0, 7, graph.n - 1]
+        states = [init_state(graph, s) for s in sources]
+        tol = 1e-6
+        _, sweeps = kernels.power_block_loop(
+            graph, [r for r, _ in states], [q for _, q in states], ALPHA,
+            tol, np.asarray(sources))
+        for c, s in enumerate(sources):
+            assert sweeps[c] == self.first_crossing(graph, s, tol)
 
 
 # ---------------------------------------------------------------------------
