@@ -30,7 +30,6 @@ from pathlib import Path
 KNOWN_METRICS = {
     "repro-serving-bench": ("speedup", "unique_workload.speedup"),
     "repro-http-bench": ("qps",),
-    "repro-walks-bench": ("speedup",),
     "repro-push-bench": ("speedup",),
     "repro-powerpush-bench": ("speedup",),
     "repro-topk-bench": ("speedup",),

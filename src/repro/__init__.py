@@ -29,7 +29,6 @@ from repro.graph import CSRGraph, from_edges, hop_structure
 from repro.obs import QueryTrace
 from repro.service import QueryEngine
 from repro.serving import ConcurrentQueryEngine
-from repro.walks.parallel import ParallelWalkExecutor
 
 __version__ = "1.0.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "AccuracyParams",
     "CSRGraph",
     "ConcurrentQueryEngine",
-    "ParallelWalkExecutor",
     "QueryEngine",
     "QueryTrace",
     "ResAccParams",

@@ -210,119 +210,6 @@ def truths_for(cache, graph, sources):
 #: (``repro-bench serve-batch --json``).
 SERVING_BENCH_KIND = "repro-serving-bench"
 
-#: File-format marker written by :func:`walks_benchmark` consumers
-#: (``repro-bench walks --json``).
-WALKS_BENCH_KIND = "repro-walks-bench"
-
-
-def walks_benchmark(graph, *, source=0, workers=4, total_walks=2_000_000,
-                    alpha=0.2, seed=0, repeats=3):
-    """Remedy-kernel benchmark: serial vs. process-parallel walk batches.
-
-    Reconstructs the residue vector a real ResAcc query hands to its
-    remedy phase (h-HopFWD + OMFWD at the paper's defaults from
-    ``source``), then times the same ``total_walks``-walk batch two
-    ways over ``repeats`` runs each:
-
-    * ``serial`` -- :func:`repro.walks.residue_weighted_walks` on one
-      core (the historical path, ``walk_workers=1``);
-    * ``parallel`` -- the batch sharded across a persistent
-      :class:`repro.walks.parallel.ParallelWalkExecutor` of ``workers``
-      processes (pool startup amortized by a warm-up run, exactly how
-      the serving engines use it).
-
-    Besides the speedup the document reports two correctness probes:
-    ``deterministic`` (two parallel runs with the same ``(seed,
-    n_shards)`` are byte-identical -- the contract of
-    ``docs/parallel_walks.md``) and ``mass_conserved`` (both paths'
-    terminal mass sums to ``r_sum`` exactly).
-
-    Returns a JSON-safe dict (``kind = "repro-walks-bench"``).
-    """
-    from repro.core.hhop import h_hop_forward
-    from repro.core.omfwd import omfwd, residue_sum
-    from repro.core.params import ResAccParams
-    from repro.push.forward import init_state
-    from repro.walks.engine import residue_weighted_walks
-    from repro.walks.parallel import ParallelWalkExecutor
-
-    params = ResAccParams(alpha=alpha)
-    reserve, residue = init_state(graph, int(source))
-    hhop = h_hop_forward(
-        graph, int(source), params.alpha, params.r_max_hop, params.h,
-        reserve, residue, method=params.push_method,
-    )
-    omfwd(
-        graph, reserve, residue, params.alpha, params.bound_r_max_f(graph),
-        boundary_nodes=hhop.boundary_nodes, source=int(source),
-        method=params.push_method,
-    )
-    r_sum = residue_sum(residue)
-    if r_sum <= 0.0:
-        # Degenerate query (no residue survives the pushes): fall back
-        # to a uniform residue so the kernel still gets a real workload.
-        residue = np.full(graph.n, 1.0 / graph.n)
-        r_sum = residue_sum(residue)
-
-    serial_seconds = []
-    serial_mass = None
-    walks_used = 0
-    for _ in range(repeats):
-        (serial_mass, walks_used), elapsed = timed(
-            residue_weighted_walks, graph, residue, total_walks, alpha,
-            np.random.default_rng(seed), source=int(source),
-        )
-        serial_seconds.append(elapsed)
-
-    with ParallelWalkExecutor(graph, workers) as executor:
-        # Warm-up: pay worker spawn + import once, outside the timings
-        # (services hold the pool across queries the same way).
-        residue_weighted_walks(
-            graph, residue, total_walks, alpha, None, source=int(source),
-            walk_seed=seed, executor=executor,
-        )
-        parallel_seconds = []
-        parallel_mass = None
-        for _ in range(repeats):
-            (parallel_mass, _), elapsed = timed(
-                residue_weighted_walks, graph, residue, total_walks, alpha,
-                None, source=int(source), walk_seed=seed, executor=executor,
-            )
-            parallel_seconds.append(elapsed)
-        repeat_mass, _ = residue_weighted_walks(
-            graph, residue, total_walks, alpha, None, source=int(source),
-            walk_seed=seed, executor=executor,
-        )
-
-    serial_mean = float(np.mean(serial_seconds))
-    parallel_mean = float(np.mean(parallel_seconds))
-    tol = 1e-9 * max(r_sum, 1.0)
-    return {
-        "kind": WALKS_BENCH_KIND,
-        "graph": {"n": graph.n, "m": graph.m},
-        "source": int(source),
-        "alpha": alpha,
-        "seed": seed,
-        "workers": int(workers),
-        "n_shards": int(workers),
-        "total_walks": int(total_walks),
-        "walks_used": int(walks_used),
-        "r_sum": r_sum,
-        "repeats": int(repeats),
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "serial_mean_seconds": serial_mean,
-        "parallel_mean_seconds": parallel_mean,
-        "speedup": (serial_mean / parallel_mean
-                    if parallel_mean > 0 else float("inf")),
-        "deterministic": (parallel_mass.tobytes() == repeat_mass.tobytes()),
-        "mass_conserved": (
-            abs(float(serial_mass.sum()) - r_sum) < tol
-            and abs(float(parallel_mass.sum()) - r_sum) < tol
-        ),
-    }
-
-
 #: File-format marker written by :func:`push_benchmark` consumers
 #: (``repro-bench push --json``).
 PUSH_BENCH_KIND = "repro-push-bench"
@@ -622,8 +509,7 @@ def serving_benchmark(graph, *, num_unique=8, repeat=3, num_workers=4,
 
     Worker startup is paid outside the timings: the engine answers the
     unique sources once and flushes its cache before the timed runs,
-    exactly how long-lived services amortize pool spawn (the same
-    warm-up convention :func:`walks_benchmark` uses).
+    exactly how long-lived services amortize pool spawn.
 
     Byte-identity of the batched answers against the sequential loop is
     checked per request position (the determinism contract).  The

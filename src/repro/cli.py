@@ -110,28 +110,6 @@ def build_parser():
     http_cmd.add_argument("--min-qps", type=float, default=None,
                           help="exit non-zero unless the measured "
                                "queries/second reaches this")
-    walks_cmd = sub.add_parser(
-        "walks",
-        help="benchmark the process-parallel remedy walk kernel",
-    )
-    walks_cmd.add_argument("dataset", help="dataset name from the catalog")
-    walks_cmd.add_argument("--source", type=int, default=0,
-                           help="query node whose residue feeds the batch")
-    walks_cmd.add_argument("--workers", type=int, default=4,
-                           help="process-pool width (= shard count)")
-    walks_cmd.add_argument("--walks", type=int, default=2_000_000,
-                           help="total walk budget per timed batch")
-    walks_cmd.add_argument("--repeats", type=int, default=3,
-                           help="timed runs per variant (mean reported)")
-    walks_cmd.add_argument("--scale", type=float, default=1.0,
-                           help="dataset scale factor")
-    walks_cmd.add_argument("--seed", type=int, default=0)
-    walks_cmd.add_argument("--json", metavar="PATH", default=None,
-                           help="write the benchmark document "
-                                "(e.g. BENCH_walks.json)")
-    walks_cmd.add_argument("--min-speedup", type=float, default=None,
-                           help="exit non-zero unless parallel speedup vs. "
-                                "the serial kernel reaches this")
     push_cmd = sub.add_parser(
         "push",
         help="benchmark the output-sensitive push kernels vs the seed loop",
@@ -305,7 +283,6 @@ def main(argv=None):
         "query": _run_query,
         "serve-batch": _run_serve_batch,
         "serve-http": _run_serve_http,
-        "walks": _run_walks_bench,
         "push": _run_push_bench,
         "powerpush": _run_powerpush_bench,
         "topk": _run_topk_bench,
@@ -506,54 +483,6 @@ def _run_serve_http(args):
     if args.min_qps is not None and doc["qps"] < args.min_qps:
         print(f"throughput {doc['qps']:.1f} qps below required "
               f"{args.min_qps:.1f} qps", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_walks_bench(args):
-    import json
-
-    from repro.bench.harness import walks_benchmark
-    from repro.datasets import catalog
-    from repro.errors import ParameterError
-
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-        doc = walks_benchmark(
-            graph, source=args.source, workers=args.workers,
-            total_walks=args.walks, seed=args.seed, repeats=args.repeats,
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(f"{args.dataset} (n={graph.n}, m={graph.m})  "
-          f"{doc['walks_used']} walks from source {doc['source']}, "
-          f"{doc['workers']} workers / {doc['n_shards']} shards")
-    print(f"  serial kernel      {doc['serial_mean_seconds']:8.3f} s  "
-          f"(mean of {doc['repeats']})")
-    print(f"  parallel kernel    {doc['parallel_mean_seconds']:8.3f} s  "
-          f"({doc['speedup']:.2f}x)")
-    print(f"  byte-identical across runs: {doc['deterministic']}")
-    print(f"  terminal mass conserved:    {doc['mass_conserved']}")
-    if args.json:
-        from pathlib import Path
-
-        from repro.obs.export import _json_safe
-
-        path = Path(args.json)
-        path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
-                        encoding="utf-8")
-        print(f"  written to {path}")
-    if not doc["deterministic"]:
-        print("parallel runs diverged for a fixed (seed, n_shards)",
-              file=sys.stderr)
-        return 1
-    if not doc["mass_conserved"]:
-        print("terminal mass does not sum to r_sum", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and doc["speedup"] < args.min_speedup:
-        print(f"speedup {doc['speedup']:.2f}x below required "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
         return 1
     return 0
 

@@ -90,7 +90,10 @@ def _local_rounds(graph, source, reserve, residue, alpha, r_max, *,
     round semantics: all eligible nodes push simultaneously) and
     returns ``True`` the moment a round classifies as matvec-dense --
     the three-regime switch handing off to global sweeps -- or
-    ``False`` at a local fixpoint under ``r_max``.
+    ``False`` at a local fixpoint under ``r_max``.  ``reserve`` and
+    ``residue`` must be a fresh :func:`init_state` pair, so the first
+    round's candidates are the source alone, with no scan of the
+    residue for its one nonzero entry.
     """
     indptr, indices = graph.indptr, graph.indices
     degrees = graph.out_degrees
@@ -100,7 +103,7 @@ def _local_rounds(graph, source, reserve, residue, alpha, r_max, *,
     restart = graph.dangling == "restart"
     sparse_cut = max(n // SPARSE_NODE_DIV, 64)
     matvec_cut = max(int(indptr[-1]) // MATVEC_EDGE_DIV, sparse_cut)
-    cand = np.flatnonzero(residue)
+    cand = np.asarray([source], dtype=np.int64)
     while True:
         if cand is None:
             active = np.flatnonzero(residue >= thresholds)
@@ -250,22 +253,20 @@ def _make_result(source, reserve, params, stats, r_sum, n_sweeps,
 
 
 def powerpush(graph, source, *, params=None, accuracy=None, rng=None,
-              seed=0, walk_scale=1.0, estimator="terminal", trace=None,
-              walk_workers=1, walk_executor=None):
+              seed=0, walk_scale=1.0, estimator="terminal", trace=None):
     """Answer an SSRWR query with the unified local/global solver.
 
     Accepts the :func:`~repro.core.resacc.resacc` signature so the two
     are drop-in interchangeable behind the engines; the randomness and
-    walk arguments (``rng`` / ``seed`` / ``walk_scale`` / ``estimator``
-    / ``walk_workers`` / ``walk_executor``) are ignored -- PowerPush is
-    deterministic and uses zero walks.  ``params`` supplies ``alpha``
-    and the local-stage threshold ``r_max_f``; ``accuracy`` sets the
-    stopping mass ``eps * delta``.
+    walk arguments (``rng`` / ``seed`` / ``walk_scale`` / ``estimator``)
+    are ignored -- PowerPush is deterministic and uses zero walks.
+    ``params`` supplies ``alpha`` and the local-stage threshold
+    ``r_max_f``; ``accuracy`` sets the stopping mass ``eps * delta``.
 
     Returns an :class:`SSRWRResult` with ``algorithm="powerpush"`` and
     a ``localpush`` / ``power`` phase breakdown.
     """
-    del rng, seed, walk_scale, estimator, walk_workers, walk_executor
+    del rng, seed, walk_scale, estimator
     if not 0 <= source < graph.n:
         raise ParameterError(f"source {source} out of range for n={graph.n}")
     params = params or ResAccParams()

@@ -36,8 +36,7 @@ class RemedyOutcome:
 
 
 def remedy(graph, residue, alpha, accuracy, rng, *, source=None,
-           walk_scale=1.0, estimator="terminal", trace=None,
-           walk_workers=1, walk_seed=None, walk_executor=None):
+           walk_scale=1.0, estimator="terminal", trace=None):
     """Run the remedy phase; the residue vector is not modified.
 
     ``walk_scale`` multiplies ``n_r`` -- the paper's fair-comparison
@@ -50,10 +49,6 @@ def remedy(graph, residue, alpha, accuracy, rng, *, source=None,
 
     ``trace`` is an optional :class:`repro.obs.QueryTrace`; the walk
     budget and actual walk totals are flushed into it once.
-
-    ``walk_workers`` / ``walk_seed`` / ``walk_executor`` select the
-    process-parallel sampler (:mod:`repro.walks.parallel`); the default
-    ``walk_workers=1`` consumes ``rng`` serially, bit-for-bit as before.
     """
     if walk_scale < 0:
         raise ParameterError(f"walk_scale must be >= 0, got {walk_scale}")
@@ -68,8 +63,7 @@ def remedy(graph, residue, alpha, accuracy, rng, *, source=None,
         )
     mass, walks_used = residue_weighted_walks(
         graph, residue, n_r, alpha, rng, source=source, estimator=estimator,
-        trace=trace, walk_workers=walk_workers, walk_seed=walk_seed,
-        executor=walk_executor,
+        trace=trace,
     )
     return RemedyOutcome(mass=mass, walks_used=walks_used,
                          r_sum=r_sum, n_r=n_r)

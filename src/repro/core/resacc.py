@@ -31,8 +31,7 @@ from repro.push.forward import init_state
 
 
 def resacc(graph, source, *, params=None, accuracy=None, rng=None, seed=0,
-           walk_scale=1.0, estimator="terminal", trace=None,
-           walk_workers=1, walk_executor=None):
+           walk_scale=1.0, estimator="terminal", trace=None):
     """Answer an approximate SSRWR query with ResAcc.
 
     Parameters
@@ -63,16 +62,6 @@ def resacc(graph, source, *, params=None, accuracy=None, rng=None, seed=0,
         residue-mass snapshots, and attached to the result's
         ``.trace``.  The estimates are byte-identical either way: the
         trace only observes, it never participates in the arithmetic.
-    walk_workers / walk_executor:
-        Process-parallel remedy phase (:mod:`repro.walks.parallel`).
-        ``walk_workers > 1`` shards the remedy walk batch across that
-        many worker processes; ``walk_executor`` reuses a caller-owned
-        :class:`repro.walks.parallel.ParallelWalkExecutor` (its pool
-        width then sets the shard count).  The parallel sampler draws
-        from ``SeedSequence(seed)`` shard streams, so it requires
-        seed-based randomness -- combining it with an explicit ``rng``
-        raises :class:`ParameterError`.  The default ``walk_workers=1``
-        runs the serial sampler on ``rng``.
 
     Returns an :class:`SSRWRResult` whose ``phase_seconds`` carries the
     Table VII breakdown (``hhopfwd`` / ``omfwd`` / ``remedy``).
@@ -81,12 +70,6 @@ def resacc(graph, source, *, params=None, accuracy=None, rng=None, seed=0,
         raise ParameterError(f"source {source} out of range for n={graph.n}")
     params = params or ResAccParams()
     accuracy = accuracy or AccuracyParams.paper_defaults(graph.n)
-    parallel_walks = walk_executor is not None or walk_workers > 1
-    if parallel_walks and rng is not None:
-        raise ParameterError(
-            "walk_workers > 1 requires seed-based randomness: pass seed=, "
-            "not rng= (per-shard streams spawn from SeedSequence(seed))"
-        )
     rng_seed = None if rng is not None else int(seed)
     rng = rng if rng is not None else np.random.default_rng(seed)
     r_max_f = params.bound_r_max_f(graph)
@@ -99,8 +82,6 @@ def resacc(graph, source, *, params=None, accuracy=None, rng=None, seed=0,
         push_method=params.push_method, eps=accuracy.eps,
         delta=accuracy.delta, p_f=accuracy.p_f,
         walk_scale=walk_scale, estimator=estimator,
-        walk_workers=(walk_executor.num_workers
-                      if walk_executor is not None else int(walk_workers)),
     )
 
     reserve, residue = init_state(graph, source)
@@ -129,9 +110,7 @@ def resacc(graph, source, *, params=None, accuracy=None, rng=None, seed=0,
     tic = time.perf_counter()
     outcome = remedy(graph, residue, params.alpha, accuracy, rng,
                      source=source, walk_scale=walk_scale,
-                     estimator=estimator, trace=trace,
-                     walk_workers=walk_workers, walk_seed=rng_seed,
-                     walk_executor=walk_executor)
+                     estimator=estimator, trace=trace)
     t_remedy = time.perf_counter() - tic
     trace.end_phase(residue)
 

@@ -3,8 +3,8 @@
 Every serving engine holds one :class:`SolverEntry` and asks it what the
 solver supports instead of comparing solver names:
 
-* ``solve(graph, source, *, accuracy, seed, trace, walk_workers,
-  walk_executor)`` answers one source;
+* ``solve(graph, source, *, accuracy, seed, trace)`` answers one
+  source;
 * ``solve_batch(graph, sources, *, accuracy, trace)``, when present,
   answers many sources as one blocked solve, byte-identical to a
   ``solve`` loop -- ``blocked_batch`` is true exactly then, and the cold
@@ -13,9 +13,7 @@ solver supports instead of comparing solver names:
 * ``retention_safe`` lets an incremental engine keep cached answers
   across single-edge mutations (the offset bound of
   :mod:`repro.serving.retention` was derived against ResAcc's contract)
-  and solve misses at ``solve_margin * eps`` to create that slack;
-* ``runs_walks`` tells an engine with ``walk_workers > 1`` to build the
-  shared walk pool for the solver; entries without it never see one.
+  and solve misses at ``solve_margin * eps`` to create that slack.
 
 Top-k needs no flag: every engine answers ``top_k(mode="auto")`` from
 the PowerPush envelope of :mod:`repro.core.topk_solver`, and
@@ -49,7 +47,6 @@ class SolverEntry:
     solve: Callable
     solve_batch: Callable | None = None
     retention_safe: bool = False
-    runs_walks: bool = False
 
     @property
     def blocked_batch(self):
@@ -57,17 +54,14 @@ class SolverEntry:
         return self.solve_batch is not None
 
 
-def _resacc(graph, source, *, accuracy=None, seed=0, trace=None,
-            walk_workers=1, walk_executor=None):
+def _resacc(graph, source, *, accuracy=None, seed=0, trace=None):
     from repro.core.resacc import resacc
 
-    return resacc(graph, source, accuracy=accuracy, seed=seed, trace=trace,
-                  walk_workers=walk_workers, walk_executor=walk_executor)
+    return resacc(graph, source, accuracy=accuracy, seed=seed, trace=trace)
 
 
-def _powerpush(graph, source, *, accuracy=None, seed=0, trace=None,
-               walk_workers=1, walk_executor=None):
-    # Deterministic with zero walks: the seed and walk pool are moot.
+def _powerpush(graph, source, *, accuracy=None, seed=0, trace=None):
+    # Deterministic with zero walks: the seed is moot.
     from repro.core.powerpush import powerpush
 
     return powerpush(graph, source, accuracy=accuracy, trace=trace)
@@ -81,7 +75,7 @@ def _powerpush_batch(graph, sources, *, accuracy=None, trace=None):
 
 #: The named entries, by resolved name.
 ENTRIES = {
-    "resacc": SolverEntry(_resacc, retention_safe=True, runs_walks=True),
+    "resacc": SolverEntry(_resacc, retention_safe=True),
     "powerpush": SolverEntry(_powerpush, solve_batch=_powerpush_batch),
 }
 
@@ -124,7 +118,7 @@ def get(solver=None):
 
     A custom callable ``solver(graph, source, accuracy, seed) ->
     SSRWRResult`` becomes an entry with every flag off; it receives no
-    trace or walk pool.
+    trace.
     """
     if solver is None or isinstance(solver, str):
         return ENTRIES[resolve_solver(solver)]

@@ -11,7 +11,7 @@ views over a page-aligned binary file (the ``.rcsr`` layout below), so
 
 * loading a graph is O(1) -- the kernel pages adjacency in on demand;
 * several processes serving the same graph share one page cache copy
-  (:class:`repro.walks.parallel.SharedCSRGraph` detects the backing
+  (:class:`repro.graph.shared.SharedCSRGraph` detects the backing
   file and ships its *path* instead of copying the arrays into POSIX
   shared memory);
 * anonymous (swap-backed) memory stays bounded by the derived caches a

@@ -40,7 +40,7 @@ PowerPush ("Unifying the Global and Local Approaches"):
 Per-snapshot state (thresholds, the transpose operator, scratch
 buffers) lives in a :class:`SnapshotPushCache` hung off the graph
 object and explicitly released by the serving engines inside their
-write gates, mirroring the PR 3 walk pools.
+write gates.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def release_push_cache(graph):
     """Release a snapshot's push cache if one was ever attached.
 
     Serving engines call this inside their write gates when a mutation
-    retires the snapshot, alongside the walk-pool retirement.
+    retires the snapshot.
     """
     cache = getattr(graph, "_push_cache", None) if graph is not None else None
     if cache is not None:

@@ -16,7 +16,7 @@ door, not a demo:
   cancels cooperatively at solver phase boundaries, so a query that
   cannot finish in time frees its worker and answers ``504``;
 * **graceful drain** -- SIGTERM stops accepting, drains in-flight
-  requests up to ``drain_timeout`` seconds, then retires walk pools and
+  requests up to ``drain_timeout`` seconds, then retires worker pools and
   push caches through the engine's existing close path.
 
 With ``--degraded-tier`` the server stops shedding ``/query`` under
@@ -115,7 +115,7 @@ class SSRWRServer:
     engine:
         The serving engine to expose.  With ``own_engine=True`` (the
         default) the drain path closes it -- retiring its thread pool,
-        walk-executor pool and push caches; pass ``own_engine=False``
+        any solver process pool and push caches; pass ``own_engine=False``
         when the caller keeps using the engine after the server stops.
     config:
         :class:`ServerConfig`; ``None`` uses the defaults.
@@ -233,7 +233,7 @@ class SSRWRServer:
         listener closes so no new connection lands; admitted requests
         get up to ``drain_timeout`` seconds to finish; whatever remains
         is cancelled; finally the engine's close path retires its worker
-        pool, walk executors and push caches.
+        pools and push caches.
         """
         if self._closed:
             return
@@ -787,9 +787,6 @@ def build_parser():
     parser.add_argument("--solver-workers", type=int, default=4,
                         help="solver worker processes "
                              "(--engine multiproc only)")
-    parser.add_argument("--walk-workers", type=int, default=1,
-                        help="process-parallel remedy walks per query "
-                             "(--engine threads only)")
     parser.add_argument("--cache-size", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-inflight", type=int, default=64,
@@ -855,7 +852,7 @@ def main(argv=None):
     else:
         engine = ConcurrentQueryEngine(
             graph, solver=args.solver, max_workers=args.workers,
-            walk_workers=args.walk_workers, cache_size=args.cache_size,
+            cache_size=args.cache_size,
             seed=args.seed, trace=args.trace,
             trace_capacity=512 if args.trace else None,
             incremental=args.incremental, solve_margin=args.solve_margin,

@@ -54,24 +54,15 @@ class QueryEngine(ConcurrentQueryEngine):
         ``.trace`` and the latest summary is :attr:`last_trace`.  Only
         the latest trace is kept.  Cache hits return the original
         traced result unchanged.
-    walk_workers:
-        Process-parallel remedy phase (``> 1`` shards each query's walk
-        batch across that many worker processes; see
-        ``docs/parallel_walks.md``).  The engine keeps one
-        :class:`repro.walks.parallel.ParallelWalkExecutor` alive per
-        graph snapshot -- mutations retire it together with the cache --
-        so pool startup is paid once, not per query.  Call :meth:`close`
-        (or use the engine as a context manager) to release the pool.
     """
 
     def __init__(self, graph, *, solver=None, accuracy=None,
-                 cache_size=256, seed=0, trace=False, walk_workers=1):
+                 cache_size=256, seed=0, trace=False):
         if solver is not None and not isinstance(solver, str):
             solver = _ignore_accuracy_and_seed(solver)
         super().__init__(graph, solver=solver, accuracy=accuracy,
                          cache_size=cache_size, seed=seed, max_workers=1,
-                         trace=trace, walk_workers=walk_workers,
-                         trace_capacity=1)
+                         trace=trace, trace_capacity=1)
 
     @property
     def last_trace(self):

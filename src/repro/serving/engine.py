@@ -157,13 +157,13 @@ class ConcurrentQueryEngine:
         SSRWRResult``, or ``None`` to resolve via the ``REPRO_SOLVER``
         environment variable (default: ResAcc).  Either way it becomes a
         :class:`repro.core.solvers.SolverEntry`, whose capability flags
-        decide blocked batches, retention and the walk pool.  The
-        engine passes ``seed = base_seed + source`` so the answer for a
-        source is deterministic no matter which worker computes it;
-        with a blocked-batch entry (``"powerpush"``) cold
-        :meth:`query_batch` misses are additionally solved as one
-        blocked multi-source sweep (see :meth:`_query_batch_blocked`),
-        byte-identical to solo solves.
+        decide blocked batches and retention.  The engine passes
+        ``seed = base_seed + source`` so the answer for a source is
+        deterministic no matter which worker computes it; with a
+        blocked-batch entry (``"powerpush"``) cold :meth:`query_batch`
+        misses are additionally solved as one blocked multi-source sweep
+        (see :meth:`_query_batch_blocked`), byte-identical to solo
+        solves.
     accuracy:
         Default :class:`repro.core.AccuracyParams`; ``None`` means the
         paper defaults for the current graph size.  Individual queries
@@ -179,17 +179,6 @@ class ConcurrentQueryEngine:
         :class:`repro.obs.QueryTrace` tagged with the worker thread and
         graph epoch; see :attr:`traces` / :meth:`trace_summary` /
         :meth:`worker_trace_summary`.
-    walk_workers:
-        Process-parallel remedy phase: ``> 1`` shards every query's walk
-        batch across one shared
-        :class:`repro.walks.parallel.ParallelWalkExecutor` (its pool
-        submissions are thread-safe, so all query threads use the same
-        pool).  The pool is bound to the current graph snapshot and
-        retired inside the write gate on mutation.  Per-source
-        determinism is preserved: an answer is a pure function of
-        ``(graph, source, accuracy, seed, walk_workers)``.  Only ResAcc
-        runs walks, so PowerPush and custom-solver engines never build
-        the pool.
     trace_capacity:
         When set, only the most recent ``trace_capacity`` traces are
         retained (older ones are dropped FIFO).  An always-on server
@@ -214,7 +203,7 @@ class ConcurrentQueryEngine:
 
     def __init__(self, graph, *, solver=None, accuracy=None,
                  cache_size=256, seed=0, max_workers=4, trace=False,
-                 walk_workers=1, trace_capacity=None, incremental=False,
+                 trace_capacity=None, incremental=False,
                  solve_margin=None):
         from repro.serving.cache import SingleFlightCache
         from repro.serving.epoch import EpochGate
@@ -222,10 +211,6 @@ class ConcurrentQueryEngine:
         if max_workers < 1:
             raise ParameterError(
                 f"max_workers must be >= 1, got {max_workers}"
-            )
-        if walk_workers < 1:
-            raise ParameterError(
-                f"walk_workers must be >= 1, got {walk_workers}"
             )
         if trace_capacity is not None and trace_capacity < 1:
             raise ParameterError(
@@ -269,9 +254,6 @@ class ConcurrentQueryEngine:
         self._traces = ([] if trace_capacity is None
                         else deque(maxlen=int(trace_capacity)))
         self._stats_lock = threading.Lock()
-        self._walk_workers = int(walk_workers)
-        self._walk_executor = None
-        self._walk_lock = threading.Lock()
         self._incremental = bool(incremental)
         self._solve_margin = solve_margin
         self.stats = ServiceStats()
@@ -282,32 +264,18 @@ class ConcurrentQueryEngine:
     def close(self):
         """Shut the worker pools down (waits for in-flight queries)."""
         self._executor.shutdown(wait=True)
-        self._retire_walk_executor()
+        self._retire_snapshot_state()
 
-    def _walk_executor_for(self, graph):
-        """The shared walk pool for the current snapshot (or ``None``).
+    def _retire_snapshot_state(self):
+        """Release what was built for the current snapshot (a hook).
 
-        Created lazily under its own lock, and only for a solver entry
-        that ``runs_walks``; callers hold the read gate, so the snapshot
-        cannot change underneath the pool while it is being created or
-        used.
+        Called inside the write gate on every effective mutation and
+        from :meth:`close`: the moments no query can still be using the
+        outgoing snapshot.  The base engine builds nothing per snapshot
+        beyond its push cache, which :meth:`_mutate` releases itself;
+        :class:`repro.serving.MultiProcessQueryEngine` retires its solver
+        pool and shared graph here.
         """
-        if self._walk_workers <= 1 or not self._solver.runs_walks:
-            return None
-        with self._walk_lock:
-            if self._walk_executor is None:
-                from repro.walks.parallel import ParallelWalkExecutor
-
-                self._walk_executor = ParallelWalkExecutor(
-                    graph, self._walk_workers
-                )
-            return self._walk_executor
-
-    def _retire_walk_executor(self):
-        with self._walk_lock:
-            if self._walk_executor is not None:
-                self._walk_executor.close()
-                self._walk_executor = None
 
     def __enter__(self):
         return self
@@ -836,8 +804,7 @@ class ConcurrentQueryEngine:
             functools.partial(
                 self._solver.solve, source=source,
                 accuracy=self._solve_accuracy_for(graph, accuracy),
-                seed=self._seed + source, walk_workers=self._walk_workers,
-                walk_executor=self._walk_executor_for(graph),
+                seed=self._seed + source,
             ),
             graph, epoch, deadline,
         )
@@ -943,10 +910,7 @@ class ConcurrentQueryEngine:
                 self._graph = self._apply_edits(old_graph, edits)
                 repairs = self._invalidate_for(old_graph, self._graph,
                                                edits)
-                # Retire the walk pool inside the write gate: it shares
-                # the old snapshot's CSR pages, and quiescence guarantees
-                # no query is mid-walk on it.
-                self._retire_walk_executor()
+                self._retire_snapshot_state()
                 with self._stats_lock:
                     self.stats.updates += 1
         if repairs:

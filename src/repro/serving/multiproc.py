@@ -9,9 +9,9 @@ loop).  This engine moves the solves into ``solver_workers`` spawn-based
 worker processes that all map the *same* graph snapshot zero-copy:
 
 * **Shared-memory graph.**  The dispatcher exports the CSR arrays once
-  via :class:`repro.walks.parallel.SharedCSRGraph`; workers rebuild a
+  via :class:`repro.graph.shared.SharedCSRGraph`; workers rebuild a
   full :class:`repro.graph.CSRGraph` over the shared pages with
-  :func:`repro.walks.parallel.attach_csr_graph` -- no pickling of the
+  :func:`repro.graph.shared.attach_csr_graph` -- no pickling of the
   graph, no per-worker copy of ``indptr``/``indices``.  Only the tiny
   handle dict, the query parameters, and the result vector cross the
   process boundary.  Mmap-backed graphs (``repro.graph.mmap``) skip the
@@ -58,6 +58,7 @@ for when to pick threads vs. processes.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -68,6 +69,7 @@ from repro.errors import (
     ParameterError,
     WorkerCrashError,
 )
+from repro.graph.shared import SharedCSRGraph, attach_csr_graph
 from repro.serving.engine import ConcurrentQueryEngine, run_traced
 
 #: Worker-process tag attached to every trace computed in the pool
@@ -86,8 +88,6 @@ def _pool_task(handle, call, trace_enabled, epoch, deadline):
     pair pickles back to the dispatcher; a deadline proxy's
     :class:`DeadlineExceededError` pickles back the same way.
     """
-    from repro.walks.parallel import attach_csr_graph
-
     return run_traced(call, attach_csr_graph(handle),
                       trace_enabled=trace_enabled, epoch=epoch,
                       deadline=deadline,
@@ -97,8 +97,6 @@ def _pool_task(handle, call, trace_enabled, epoch, deadline):
 
 def _attach_task(handle):
     """Warm-up task: import the solver stack and map the graph."""
-    from repro.walks.parallel import attach_csr_graph
-
     return attach_csr_graph(handle).n
 
 
@@ -107,6 +105,24 @@ def _has_dead_worker(pool):
     processes = pool._processes or {}  # None once the pool shut down
     return any(process.exitcode is not None
                for process in list(processes.values()))
+
+
+def _shutdown_pool(pool):
+    """``pool.shutdown(wait=True)`` that cannot hang on a dead worker.
+
+    A worker killed while holding the call queue's lock leaves the
+    survivors blocked on that lock forever.  The executor's own
+    broken-pool path terminates them first, but its manager thread can
+    miss the dead worker when a wakeup arrives at the same moment
+    (CPython 3.11 checks the wakeup before the worker sentinels) and
+    then join the blocked survivors for good.  So once a worker has
+    died, the survivors are terminated here before the join.
+    """
+    if _has_dead_worker(pool):
+        for process in list((pool._processes or {}).values()):
+            if process.exitcode is None:
+                process.terminate()
+    pool.shutdown(wait=True)
 
 
 class MultiProcessQueryEngine(ConcurrentQueryEngine):
@@ -151,9 +167,7 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
     incremental / solve_margin:
         As in the base engine (retention bookkeeping lives entirely on
         the dispatcher side -- workers just solve at the accuracy they
-        are handed).  ``walk_workers`` is intentionally not exposed:
-        parallelism lives across queries here, and nesting a walk pool
-        inside every solver worker would oversubscribe cores.
+        are handed).
     """
 
     def __init__(self, graph, *, solver=None, solver_workers=4,
@@ -180,7 +194,7 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
         super().__init__(
             graph, solver=solver, accuracy=accuracy,
             cache_size=cache_size, seed=seed,
-            max_workers=dispatch_workers, trace=trace, walk_workers=1,
+            max_workers=dispatch_workers, trace=trace,
             trace_capacity=trace_capacity, incremental=incremental,
             solve_margin=solve_margin,
         )
@@ -191,8 +205,8 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
         self._mp_context = mp_context
         # The solver pool and the shared snapshot it maps are created
         # lazily (first query after construction or after a mutation)
-        # under the walk lock the base engine already owns for its own
-        # per-snapshot pool; both are retired inside the write gate.
+        # under this lock; both are retired inside the write gate.
+        self._pool_lock = threading.Lock()
         self._solver_pool = None
         self._shared = None
 
@@ -210,10 +224,8 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
         while the pool is being created or used; creation itself is
         serialized by the lock.
         """
-        with self._walk_lock:
+        with self._pool_lock:
             if self._shared is None:
-                from repro.walks.parallel import SharedCSRGraph
-
                 self._shared = SharedCSRGraph(graph)
             if self._solver_pool is None:
                 self._solver_pool = ProcessPoolExecutor(
@@ -223,7 +235,7 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
             return self._solver_pool, self._shared.handle
 
     def _pool_replaced(self, pool):
-        with self._walk_lock:
+        with self._pool_lock:
             return self._solver_pool is not pool
 
     def _handle_pool_crash(self, pool):
@@ -232,30 +244,28 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
         The shared snapshot survives: a worker crash does not change the
         graph, so the respawned pool re-maps the same blocks.
         """
-        with self._walk_lock:
+        with self._pool_lock:
             if self._solver_pool is not pool:
                 return  # another thread already replaced it
             self._solver_pool = None
-        pool.shutdown(wait=True)
+        _shutdown_pool(pool)
         with self._stats_lock:
             self.stats.worker_restarts += 1
 
-    def _retire_solver_state(self):
-        """Shut the pool down and unlink the shared snapshot."""
-        with self._walk_lock:
+    def _retire_snapshot_state(self):
+        """Shut the pool down and unlink the shared snapshot.
+
+        The base engine calls this hook inside the write gate on every
+        effective mutation and from ``close()``: exactly the two moments
+        the solver pool must stop mapping the outgoing snapshot.
+        """
+        with self._pool_lock:
             pool, self._solver_pool = self._solver_pool, None
             shared, self._shared = self._shared, None
         if pool is not None:
-            pool.shutdown(wait=True)
+            _shutdown_pool(pool)
         if shared is not None:
             shared.close()
-
-    def _retire_walk_executor(self):
-        # The base engine calls this hook inside the write gate on every
-        # effective mutation and from close(): exactly the two moments
-        # the solver pool must stop mapping the outgoing snapshot.
-        super()._retire_walk_executor()
-        self._retire_solver_state()
 
     def warm_up(self):
         """Spawn the workers and pre-import the solver stack.
@@ -276,7 +286,7 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
 
     def worker_pids(self):
         """Pids of the live solver worker processes (for tests/ops)."""
-        with self._walk_lock:
+        with self._pool_lock:
             pool = self._solver_pool
             if pool is None:
                 return []

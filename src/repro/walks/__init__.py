@@ -1,4 +1,8 @@
-"""Vectorized random-walk simulation engine (serial and process-parallel)."""
+"""Vectorized random-walk simulation engine.
+
+Walks run serially within a query; parallelism lives across queries
+(:class:`repro.serving.MultiProcessQueryEngine`).
+"""
 
 from repro.walks.engine import (
     MAX_WALK_STEPS,
@@ -9,12 +13,9 @@ from repro.walks.engine import (
     walk_visit_mass,
     walks_from_single_source,
 )
-from repro.walks.parallel import ParallelWalkExecutor, SharedCSRGraph
 
 __all__ = [
     "MAX_WALK_STEPS",
-    "ParallelWalkExecutor",
-    "SharedCSRGraph",
     "residue_weighted_walks",
     "sample_walk_endpoints",
     "walk_endpoints",

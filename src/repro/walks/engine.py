@@ -154,8 +154,7 @@ def walks_from_single_source(graph, source, num_walks, alpha, rng,
 
 
 def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
-                           source=None, estimator="terminal", trace=None,
-                           walk_workers=1, walk_seed=None, executor=None):
+                           source=None, estimator="terminal", trace=None):
     """The remedy-phase sampler shared by ResAcc and FORA (Algorithm 2).
 
     Each node ``v`` with positive residue launches
@@ -172,30 +171,18 @@ def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
     The visits estimator requires the ``"absorb"`` policy.
 
     ``trace`` is an optional :class:`repro.obs.QueryTrace`; walk totals
-    (and, on the parallel path, per-shard walk counts) are flushed into
-    it once, after the batch completes.
+    are flushed into it once, after the batch completes.
 
-    ``walk_workers`` > 1 (or an explicit ``executor``) shards the walk
-    batch across a :class:`repro.walks.parallel.ParallelWalkExecutor`.
-    The parallel path draws from per-shard ``SeedSequence(walk_seed)``
-    streams instead of ``rng`` and therefore *requires* ``walk_seed``;
-    results are byte-identical across runs for a fixed ``(walk_seed,
-    n_shards)``.  The default ``walk_workers=1`` path expands the runs
-    and makes one :func:`walk_terminal_mass` (or :func:`walk_visit_mass`)
-    call on ``rng``, so its answer is a function of the ``rng`` state.
-    See ``docs/parallel_walks.md``.
+    The per-node walk counts are expanded into one start array and
+    simulated by a single :func:`walk_terminal_mass` (or
+    :func:`walk_visit_mass`) call on ``rng``, so the answer is a function
+    of the ``rng`` state.
 
     Returns ``(mass, walks_used)``.
     """
     if estimator not in ("terminal", "visits"):
         raise ParameterError(
             f"estimator must be 'terminal' or 'visits', got {estimator!r}"
-        )
-    parallel = executor is not None or walk_workers > 1
-    if parallel and walk_seed is None:
-        raise ParameterError(
-            "walk_workers > 1 requires walk_seed: per-shard RNG streams "
-            "are spawned from SeedSequence(walk_seed), not from rng"
         )
     residue = np.asarray(residue, dtype=np.float64)
     positive = np.flatnonzero(residue > 0.0)
@@ -209,18 +196,6 @@ def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
     per_node = np.maximum(per_node, 1)
     per_walk = r_pos / per_node
     walks_used = int(per_node.sum())
-    if parallel:
-        mass, shard_sizes = _parallel_walk_batch(
-            graph, positive, per_node, per_walk, alpha, source=source,
-            estimator=estimator, walk_seed=walk_seed,
-            walk_workers=walk_workers, executor=executor,
-        )
-        if trace is not None:
-            trace.add_counters(walks=walks_used,
-                               walk_origins=int(positive.size),
-                               walk_shards=len(shard_sizes))
-            trace.note(walk_shard_walks=shard_sizes)
-        return mass, walks_used
     starts = np.repeat(positive, per_node)
     weights = np.repeat(per_walk, per_node)
     if estimator == "visits":
@@ -232,19 +207,6 @@ def residue_weighted_walks(graph, residue, total_walks, alpha, rng, *,
         trace.add_counters(walks=walks_used,
                            walk_origins=int(positive.size))
     return mass, walks_used
-
-
-def _parallel_walk_batch(graph, origins, counts, weights, alpha, *, source,
-                         estimator, walk_seed, walk_workers, executor):
-    """Dispatch one batch of origin runs to a (possibly temporary) pool."""
-    from repro.walks.parallel import ParallelWalkExecutor
-
-    kwargs = dict(counts=counts, weights=weights, source=source,
-                  seed=walk_seed, estimator=estimator)
-    if executor is not None:
-        return executor.run(origins, alpha, **kwargs)
-    with ParallelWalkExecutor(graph, walk_workers) as pool:
-        return pool.run(origins, alpha, **kwargs)
 
 
 def sample_walk_endpoints(graph, source, num_walks, alpha, rng):

@@ -261,7 +261,7 @@ class TestMmapSolves:
         assert path.read_bytes() == before
 
     def test_shared_export_passes_path(self, tmp_path, ba_graph):
-        from repro.walks.parallel import SharedCSRGraph, attach_csr_graph
+        from repro.graph.shared import SharedCSRGraph, attach_csr_graph
 
         path = tmp_path / "sh.rcsr"
         save_mmap(ba_graph, path)

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
+from multiprocessing import get_context
 from multiprocessing.connection import wait
 
 import pytest
@@ -139,6 +141,49 @@ def test_worker_crash_respawns_and_completes():
         # The respawned pool is healthy and holds fresh processes.
         assert engine.query(23).source == 23
         assert not set(engine.worker_pids()) & {pids[0]}
+
+
+class _SurvivorPool:
+    """Stand-in for a pool whose worker died holding the call-queue lock.
+
+    One worker has exited; the graceful ``shutdown(wait=True)`` joins
+    the other, which never exits on its own, as ``ProcessPoolExecutor``
+    does when its manager thread takes the graceful path and waits on a
+    survivor blocked on that lock.
+    """
+
+    def __init__(self):
+        context = get_context("spawn")
+        dead = context.Process(target=time.sleep, args=(0,))
+        dead.start()
+        dead.join(timeout=30)
+        assert dead.exitcode is not None
+        self.survivor = context.Process(target=time.sleep, args=(600,))
+        self.survivor.start()
+        self._processes = {dead.pid: dead, self.survivor.pid: self.survivor}
+
+    def shutdown(self, wait=True):
+        if wait:
+            self.survivor.join()
+
+
+def test_pool_crash_terminates_survivors_before_joining():
+    """Retiring a broken pool returns even if its survivors would never
+    exit: they are terminated before the join."""
+    with make_engine(GRAPHS["grid"](), seed=0) as engine:
+        pool = _SurvivorPool()
+        engine._solver_pool = pool
+        retire = threading.Thread(target=engine._handle_pool_crash,
+                                  args=(pool,), daemon=True)
+        try:
+            retire.start()
+            retire.join(timeout=30)
+            assert not retire.is_alive(), "pool shutdown hung on a survivor"
+        finally:
+            pool.survivor.kill()
+            retire.join()
+        assert engine.stats.worker_restarts == 1
+        assert engine._solver_pool is None
 
 
 def test_worker_crash_fails_loudly_when_retries_exhausted():

@@ -1,7 +1,7 @@
 """The solver registry (:mod:`repro.core.solvers`) and what engines read
 from it.
 
-* **Entries and flags.**  ``resacc`` is retention-safe and runs walks;
+* **Entries and flags.**  ``resacc`` is retention-safe;
   ``powerpush`` has a blocked batch solve; a custom callable is an entry
   with every flag off that keeps its own signature.
 * **Call-time lookup.**  Entries resolve ``powerpush`` /
@@ -12,8 +12,6 @@ from it.
   way, expired deadlines included, and ``topk_unseparated`` counts only
   computed envelope answers whose set is not certified, never cache
   hits.
-* **Walk pool.**  With ``walk_workers > 1`` an engine builds the shared
-  walk pool only for an entry that ``runs_walks`` (ResAcc).
 """
 
 from __future__ import annotations
@@ -40,10 +38,10 @@ def test_named_entries_and_flags(monkeypatch):
     assert solvers.get(None) is resacc
     assert solvers.get("auto") is resacc
     assert solvers.get(" PowerPush ") is powerpush
-    assert (resacc.retention_safe, resacc.runs_walks,
-            resacc.blocked_batch) == (True, True, False)
-    assert (powerpush.retention_safe, powerpush.runs_walks,
-            powerpush.blocked_batch) == (False, False, True)
+    assert (resacc.retention_safe,
+            resacc.blocked_batch) == (True, False)
+    assert (powerpush.retention_safe,
+            powerpush.blocked_batch) == (False, True)
     assert solvers.SOLVERS == ("auto", "resacc", "powerpush")
     with pytest.raises(ParameterError):
         solvers.get("eigensolve")
@@ -57,10 +55,8 @@ def test_custom_entry_keeps_its_signature(graph):
         return source
 
     entry = solvers.get(fn)
-    assert (entry.retention_safe, entry.runs_walks,
-            entry.blocked_batch) == (False, False, False)
-    assert entry.solve(graph, 4, accuracy="acc", seed=9, trace=None,
-                       walk_workers=2, walk_executor=None) == 4
+    assert (entry.retention_safe, entry.blocked_batch) == (False, False)
+    assert entry.solve(graph, 4, accuracy="acc", seed=9, trace=None) == 4
     assert calls == [(4, "acc", 9)]
 
 
@@ -157,33 +153,3 @@ def test_expired_top_k_counts_as_a_top_k_query(graph, name, mode):
         assert engine.stats.queries == 1
         assert engine.stats.topk_queries == 1
         assert engine.stats.deadline_exceeded == 1
-
-
-@pytest.mark.parametrize("name, pools", [
-    ("powerpush", 0),
-    ("custom", 0),
-    ("resacc", 1),
-])
-def test_walk_pool_built_only_for_solvers_that_run_walks(
-        monkeypatch, graph, name, pools):
-    from repro.core import resacc
-    from repro.walks import parallel
-
-    built = []
-
-    class CountingExecutor(parallel.ParallelWalkExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(parallel, "ParallelWalkExecutor", CountingExecutor)
-
-    def custom(graph, source, accuracy, seed):
-        return resacc(graph, source, accuracy=accuracy, seed=seed)
-
-    solver = custom if name == "custom" else name
-    with ConcurrentQueryEngine(graph, solver=solver,
-                               walk_workers=2) as engine:
-        engine.query(0)
-        engine.query(1)
-    assert len(built) == pools
