@@ -21,30 +21,30 @@ exactly what the serving tier needs to report a truthful
 ``accuracy_achieved`` when it degrades a query instead of shedding it
 (see :mod:`repro.serving.tiers` and ``docs/scale.md``).
 
-Cost per round is one sweep over the live frontier's out-edges, O(m)
-worst case, with no per-node state beyond two dense vectors -- the
-cheapest answer shape available on an mmap-backed graph, since it
-touches adjacency pages sequentially per frontier.
+The truncated iteration is PowerPush's power stage with no local stage
+in front: a fresh :class:`repro.core.powerpush.PushState` (unit residue
+at the source) drained with ``tol = 0`` and the round budget as the
+sweep cap, so the leftover is the state's ``r_sum``.  Cost per round is
+one SpMV sweep on the snapshot's cached power operator ``(1 - alpha)
+A^T D^-1`` -- the operator every PowerPush and top-k envelope sweep
+uses -- and ``pushes`` counts ``n`` per sweep, as PowerPush does.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
-
+from repro.core.powerpush import PushState, _drain_states
 from repro.core.result import SSRWRResult
 from repro.errors import ParameterError
-from repro.graph.hop import expand_ranges
 from repro.obs.trace import NULL_TRACE
+from repro.push.forward import init_state
+from repro.push.kernels import get_push_cache
 
 #: Default round budget of the degraded tier; ``(1 - 0.2)^8 ~ 0.17`` of
 #: the mass is still unplaced, which is the accuracy price of a cheap
 #: answer (callers see the exact figure in ``extras["error_bound"]``).
 DEFAULT_CPI_ROUNDS = 8
-
-#: Hard ceiling on rounds when iterating to a tolerance.
-MAX_CPI_ROUNDS = 256
 
 
 def cpi_error_bound(alpha, rounds):
@@ -60,18 +60,15 @@ def cpi_error_bound(alpha, rounds):
     return (1.0 - alpha) ** rounds
 
 
-def cpi(graph, source, *, alpha=0.2, rounds=None, tol=None,
-        max_rounds=MAX_CPI_ROUNDS, trace=None):
+def cpi(graph, source, *, alpha=0.2, rounds=DEFAULT_CPI_ROUNDS,
+        trace=None):
     """Truncated cumulative power iteration with a computable bound.
 
     Parameters
     ----------
     rounds:
-        Fixed round budget.  When ``None``, iterate until the live mass
-        drops to ``tol`` (or ``max_rounds``, whichever first).
-    tol:
-        Target leftover mass when ``rounds`` is ``None``; defaults to
-        :data:`DEFAULT_CPI_ROUNDS` worth of decay.
+        Sweep budget; fewer run when the live mass runs out exactly
+        (absorbing dangling nodes can end every walk early).
     trace:
         Observability hook (``repro.obs.trace``) or None; the whole
         solve is one ``cpi`` phase.
@@ -88,81 +85,30 @@ def cpi(graph, source, *, alpha=0.2, rounds=None, tol=None,
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     if not 0 <= source < graph.n:
         raise ParameterError(f"source {source} out of range for n={graph.n}")
-    if rounds is None:
-        budget = int(max_rounds)
-        if tol is None:
-            tol = cpi_error_bound(alpha, DEFAULT_CPI_ROUNDS)
-    else:
-        if rounds < 0:
-            raise ParameterError(f"rounds must be >= 0, got {rounds}")
-        budget = int(rounds)
-        tol = 0.0 if tol is None else float(tol)
-    if budget < 0 or (tol is not None and tol < 0):
-        raise ParameterError("rounds and tol must be non-negative")
+    if rounds < 0:
+        raise ParameterError(f"rounds must be >= 0, got {rounds}")
 
     if trace is None:
         trace = NULL_TRACE
-    indptr, indices = graph.indptr, graph.indices
-    degrees = graph.out_degrees
-    restart = graph.dangling == "restart"
-    n = graph.n
-
     tic = time.perf_counter()
-    trace.begin_phase("cpi")
-    pi = np.zeros(n, dtype=np.float64)
-    live = np.zeros(n, dtype=np.float64)
-    live[source] = 1.0
-    leftover = 1.0
-    pushes = 0
-    rounds_run = 0
-    for _ in range(budget):
-        if leftover <= tol:
-            break
-        active = np.flatnonzero(live > 0.0)
-        if active.size == 0:
-            leftover = 0.0
-            break
-        mass = live[active]
-        deg = degrees[active]
-        dangling = deg == 0
-        moving_nodes = active[~dangling]
-        moving_mass = mass[~dangling]
-        pi[moving_nodes] += alpha * moving_mass
-        dangling_total = 0.0
-        if dangling.any():
-            d_nodes = active[dangling]
-            d_mass = mass[dangling]
-            if restart:
-                pi[d_nodes] += alpha * d_mass
-                dangling_total = float(d_mass.sum()) * (1.0 - alpha)
-            else:
-                pi[d_nodes] += d_mass
-        live = np.zeros(n, dtype=np.float64)
-        if moving_nodes.size:
-            counts = degrees[moving_nodes]
-            positions = expand_ranges(indptr[moving_nodes], counts)
-            targets = indices[positions]
-            weights = np.repeat((1.0 - alpha) * moving_mass / counts, counts)
-            live += np.bincount(targets, weights=weights, minlength=n)
-            pushes += int(counts.sum())
-        if dangling_total:
-            live[source] += dangling_total
-        leftover = float(live.sum())
-        rounds_run += 1
-    trace.end_phase("cpi")
+    state = PushState(graph, int(source), alpha, *init_state(graph, source),
+                      get_push_cache(graph))
+    trace.begin_phase("cpi", state.residue)
+    _drain_states([state], 0.0, max_sweeps=int(rounds))
+    trace.end_phase(state.residue)
     elapsed = time.perf_counter() - tic
 
     return SSRWRResult(
         source=int(source),
-        estimates=pi,
+        estimates=state.reserve,
         alpha=alpha,
         algorithm="cpi",
         walks_used=0,
-        pushes=pushes,
+        pushes=state.stats.pushes,
         phase_seconds={"cpi": elapsed},
         extras={
             "tier": "cpi",
-            "rounds": rounds_run,
-            "error_bound": leftover,
+            "rounds": state.sweeps,
+            "error_bound": state.r_sum,
         },
     )

@@ -20,7 +20,10 @@ top of the PR 4 kernel machinery:
   mass ``r_sum`` drops to ``tol = eps * delta``.  :func:`push_state`
   runs both stages and returns the in-place :class:`PushState`, which a
   caller can keep draining to a smaller ``tol`` (the top-k envelope of
-  :mod:`repro.core.topk_solver` does).
+  :mod:`repro.core.topk_solver` does).  Every power stage in
+  :mod:`repro.core` -- solo, blocked, the top-k refinement and the CPI
+  tier of :mod:`repro.core.cpi` -- drains through :func:`_drain_states`,
+  the only caller of ``power_block_loop``.
 
 **Accuracy.**  The push invariant gives ``pi(s, t) = reserve[t] +
 sum_v residue[v] * pi(v, t)`` with non-negative residues, so the
@@ -35,7 +38,7 @@ probabilistic).
 edge regardless of the source, ``B`` sources can share one sweep:
 :func:`powerpush_batch` runs the (cheap, source-local) local stage per
 source, stacks the ``B`` residuals into an ``(n, B)`` block and drains
-them with one :func:`~repro.push.kernels.power_block_loop` -- one
+them with one :func:`_drain_states` call -- one
 traversal of ``A^T`` per sweep instead of ``B``.  Per-source residual
 thresholds let early converging sources drop out of the block.  The
 blocked arithmetic is bitwise independent of the block width, so
@@ -57,18 +60,12 @@ import numpy as np
 
 from repro.core.params import AccuracyParams, ResAccParams
 from repro.core.result import SSRWRResult
-# Solver selection lives in the registry; re-exported for old imports.
-from repro.core.solvers import (  # noqa: F401
-    SOLVER_ENV,
-    SOLVERS,
-    get_solver,
-    resolve_solver,
-)
-from repro.errors import ParameterError
+from repro.errors import ConvergenceError, ParameterError
 from repro.obs.trace import NULL_TRACE
 from repro.push.forward import PushStats, init_state
 from repro.push.kernels import (
     MATVEC_EDGE_DIV,
+    MAX_POWER_SWEEPS,
     SPARSE_NODE_DIV,
     _frontier_positions,
     _sort_dedupe,
@@ -196,19 +193,61 @@ class PushState:
         """
         trace.begin_phase(phase, self.residue)
         tic = time.perf_counter()
-        r_sums, sweeps = power_block_loop(
-            self.graph, [self.reserve], [self.residue], self.alpha, tol,
-            np.asarray([self.source], dtype=np.int64), cache=self.cache,
-        )
+        _drain_states([self], tol)
         seconds = time.perf_counter() - tic
         trace.end_phase(self.residue)
-        n_sweeps = int(sweeps[0])
-        self.r_sum = float(r_sums[0])
-        self.sweeps += n_sweeps
-        self.stats.rounds += n_sweeps
-        self.stats.dense_rounds += n_sweeps
-        self.stats.pushes += n_sweeps * self.graph.n
         return seconds
+
+
+def _drain_states(states, tol, max_sweeps=None):
+    """The one power stage: sweep every state's residue as one block.
+
+    Runs :func:`~repro.push.kernels.power_block_loop` on the states'
+    vectors (which must share a graph, ``alpha`` and cache) and records
+    each state's ``r_sum``, ``sweeps`` and sweep counters -- a sweep
+    counts as one dense round of ``n`` pushes.  Without ``max_sweeps``
+    this is PowerPush's stage: a state still above ``tol`` after
+    :data:`MAX_POWER_SWEEPS` raises :class:`ConvergenceError`.  With it
+    the budget is a cap, and a capped state keeps its ``r_sum`` as the
+    bound on what is left (the CPI tier of :mod:`repro.core.cpi`).
+    """
+    first = states[0]
+    budget = MAX_POWER_SWEEPS if max_sweeps is None else max_sweeps
+    r_sums, sweeps = power_block_loop(
+        first.graph, [s.reserve for s in states],
+        [s.residue for s in states], first.alpha, tol,
+        np.asarray([s.source for s in states], dtype=np.int64),
+        cache=first.cache, max_sweeps=budget,
+    )
+    n = first.graph.n
+    for state, r_sum, n_sweeps in zip(states, r_sums.tolist(),
+                                      sweeps.tolist()):
+        state.r_sum = r_sum
+        state.sweeps += n_sweeps
+        state.stats.rounds += n_sweeps
+        state.stats.dense_rounds += n_sweeps
+        state.stats.pushes += n_sweeps * n
+    if max_sweeps is None and (r_sums > tol).any():
+        raise ConvergenceError(f"power sweeps exceeded budget of {budget}")
+
+
+def _local_stage(graph, source, params, cache, trace=NULL_TRACE):
+    """A fresh :class:`PushState` through PowerPush's local rounds.
+
+    ``init_state`` plus :func:`_local_rounds` as one ``localpush``
+    trace phase; returns ``(state, seconds)``.
+    """
+    state = PushState(graph, int(source), params.alpha,
+                      *init_state(graph, source), cache)
+    trace.begin_phase("localpush", state.residue)
+    tic = time.perf_counter()
+    state.switched = _local_rounds(
+        graph, state.source, state.reserve, state.residue, params.alpha,
+        params.bound_r_max_f(graph), stats=state.stats, cache=cache,
+    )
+    seconds = time.perf_counter() - tic
+    trace.end_phase(state.residue)
+    return state, seconds
 
 
 def push_state(graph, source, params, tol, trace):
@@ -217,36 +256,27 @@ def push_state(graph, source, params, tol, trace):
     Returns ``(state, phase_seconds)``: the :class:`PushState` left at
     ``r_sum <= tol`` and the ``localpush`` / ``power`` wall times.
     """
-    state = PushState(graph, int(source), params.alpha,
-                      *init_state(graph, source), get_push_cache(graph))
-    trace.begin_phase("localpush", state.residue)
-    tic = time.perf_counter()
-    state.switched = _local_rounds(
-        graph, state.source, state.reserve, state.residue, params.alpha,
-        params.bound_r_max_f(graph), stats=state.stats, cache=state.cache,
-    )
-    t_local = time.perf_counter() - tic
-    trace.end_phase(state.residue)
+    state, t_local = _local_stage(graph, source, params,
+                                  get_push_cache(graph), trace)
     t_power = state.drain(tol, trace)
     return state, {"localpush": t_local, "power": t_power}
 
 
-def _make_result(source, reserve, params, stats, r_sum, n_sweeps,
-                 switched, tol, seconds, trace):
+def _make_result(state, params, tol, seconds, trace):
     return SSRWRResult(
-        source=int(source),
-        estimates=reserve,
+        source=state.source,
+        estimates=state.reserve,
         alpha=params.alpha,
         algorithm="powerpush",
         walks_used=0,
-        pushes=stats.pushes,
+        pushes=state.stats.pushes,
         phase_seconds=seconds,
         extras={
-            "r_sum": float(r_sum),
-            "sweeps": int(n_sweeps),
+            "r_sum": float(state.r_sum),
+            "sweeps": int(state.sweeps),
             "tol": float(tol),
-            "switched": bool(switched),
-            "local_rounds": stats.rounds - int(n_sweeps),
+            "switched": bool(state.switched),
+            "local_rounds": state.stats.rounds - int(state.sweeps),
         },
         trace=trace,
     )
@@ -280,10 +310,7 @@ def powerpush(graph, source, *, params=None, accuracy=None, rng=None,
         eps=accuracy.eps, delta=accuracy.delta, p_f=accuracy.p_f, tol=tol,
     )
     state, seconds = push_state(graph, source, params, tol, trace)
-    return _make_result(
-        source, state.reserve, params, state.stats, state.r_sum,
-        state.sweeps, state.switched, tol, seconds, caller_trace,
-    )
+    return _make_result(state, params, tol, seconds, caller_trace)
 
 
 def powerpush_batch(graph, sources, *, params=None, accuracy=None,
@@ -292,7 +319,7 @@ def powerpush_batch(graph, sources, *, params=None, accuracy=None,
 
     Runs the per-source local stage exactly as :func:`powerpush` does,
     then drains all residuals together through one
-    :func:`~repro.push.kernels.power_block_loop` -- the cold
+    :func:`_drain_states` call -- the cold
     ``query_batch`` path of the serving engines and
     :func:`repro.core.multisource.msrwr` route here when the engine's
     solver resolves to ``powerpush``.
@@ -321,41 +348,18 @@ def powerpush_batch(graph, sources, *, params=None, accuracy=None,
     cache = get_push_cache(graph)
 
     trace.begin_phase("localpush")
-    reserves, residues, stats_list, switches, local_secs = [], [], [], [], []
-    for s in sources:
-        stats = PushStats()
-        reserve, residue = init_state(graph, s)
-        t0 = time.perf_counter()
-        switched = _local_rounds(graph, s, reserve, residue, params.alpha,
-                                 r_max_f, stats=stats, cache=cache)
-        local_secs.append(time.perf_counter() - t0)
-        reserves.append(reserve)
-        residues.append(residue)
-        stats_list.append(stats)
-        switches.append(switched)
+    states, local_secs = zip(*(_local_stage(graph, s, params, cache)
+                               for s in sources))
     trace.end_phase()
 
     trace.begin_phase("power")
     tic = time.perf_counter()
-    r_sums, sweeps = power_block_loop(
-        graph, reserves, residues, params.alpha, tol,
-        np.asarray(sources, dtype=np.int64), cache=cache,
-    )
-    t_power = time.perf_counter() - tic
+    _drain_states(states, tol)
+    power_share = (time.perf_counter() - tic) / len(sources)
     trace.end_phase()
 
-    results = []
-    power_share = t_power / len(sources)
-    for i, s in enumerate(sources):
-        stats = stats_list[i]
-        n_sweeps = int(sweeps[i])
-        stats.rounds += n_sweeps
-        stats.dense_rounds += n_sweeps
-        stats.pushes += n_sweeps * graph.n
-        results.append(_make_result(
-            s, reserves[i], params, stats, r_sums[i], n_sweeps,
-            switches[i], tol,
-            {"localpush": local_secs[i], "power": power_share},
-            None,
-        ))
-    return results
+    return [
+        _make_result(state, params, tol,
+                     {"localpush": t_local, "power": power_share}, None)
+        for state, t_local in zip(states, local_secs)
+    ]

@@ -106,7 +106,6 @@ def exact_ppr(graph, preference, *, alpha=0.2, tol=1e-12, max_iters=4000):
     vector = normalize_preference(graph, preference)
     indptr, indices = graph.indptr, graph.indices
     degrees = graph.out_degrees
-    restart = False
     pi = np.zeros(graph.n, dtype=np.float64)
     live = vector.copy()
     for _ in range(max_iters):
@@ -118,15 +117,9 @@ def exact_ppr(graph, preference, *, alpha=0.2, tol=1e-12, max_iters=4000):
         moving_nodes = active[~dangling]
         moving_mass = mass[~dangling]
         pi[moving_nodes] += alpha * moving_mass
-        dangling_total = 0.0
         if dangling.any():
-            d_nodes = active[dangling]
-            d_mass = mass[dangling]
-            if restart:
-                pi[d_nodes] += alpha * d_mass
-                dangling_total = float(d_mass.sum()) * (1.0 - alpha)
-            else:
-                pi[d_nodes] += d_mass
+            # Absorbing dangling nodes keep all of their mass.
+            pi[active[dangling]] += mass[dangling]
         live = np.zeros(graph.n, dtype=np.float64)
         if moving_nodes.size:
             counts = degrees[moving_nodes]
@@ -135,8 +128,6 @@ def exact_ppr(graph, preference, *, alpha=0.2, tol=1e-12, max_iters=4000):
             weights = np.repeat((1.0 - alpha) * moving_mass / counts,
                                 counts)
             live += np.bincount(targets, weights=weights, minlength=graph.n)
-        if dangling_total:
-            live += dangling_total * vector
     from repro.errors import ConvergenceError
 
     raise ConvergenceError(

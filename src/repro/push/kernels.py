@@ -78,6 +78,9 @@ _THRESHOLD_CACHE_SIZE = 8
 #: compact into progressively narrower blocks; keep only a few).
 _BLOCK_POOL_SIZE = 6
 
+#: Default sweep budget of :func:`power_block_loop`.
+MAX_POWER_SWEEPS = 100_000
+
 _attach_lock = threading.Lock()
 
 
@@ -640,7 +643,7 @@ def _row_sums(rows):
 
 
 def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
-                     cache=None, max_sweeps=100_000):
+                     cache=None, max_sweeps=MAX_POWER_SWEEPS):
     """Global power sweeps over a blocked ``(n, B)`` residual.
 
     Runs full-frontier Jacobi sweeps (``residue_next = P^T @ residue``
@@ -685,6 +688,13 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
       compacted once at most half the columns remain, so early
       finishers stop paying for stragglers.
 
+    ``max_sweeps`` is a cap, not an error: a column still above ``tol``
+    after that many sweeps is written back the same way and returned
+    with its ``r_sum``; callers that need ``tol`` check ``r_sums``.  A
+    ``tol <= 0`` is reached only by mass that runs out exactly, which
+    needs absorbing dangling nodes (checked every sweep), so with
+    prediction on such columns are checked only at the cap.
+
     Scratch blocks are leased from the snapshot's
     :class:`SnapshotPushCache` and returned on exit; a mutation retires
     them via :func:`release_push_cache` like every other pooled buffer.
@@ -716,13 +726,15 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
     active, check_from = [], []
     for c in range(num):
         r0 = float(np.ascontiguousarray(residues[c]).sum())
-        if r0 <= tol:
+        if r0 <= tol or max_sweeps <= 0:
             r_sums[c] = r0
             continue
         active.append(c)
-        if predict and log_decay is not None and log_decay < 0.0:
+        if predict and tol <= 0.0:
+            check_from.append(max_sweeps)
+        elif predict and log_decay is not None and log_decay < 0.0:
             earliest = math.ceil(math.log(tol / r0) / log_decay)
-            check_from.append(max(1, int(earliest) - 2))
+            check_from.append(min(max(1, int(earliest) - 2), max_sweeps))
         else:
             check_from.append(1)
     if not active:
@@ -749,10 +761,6 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
     total = 0
     try:
         while n_alive:
-            if total >= max_sweeps:
-                raise ConvergenceError(
-                    f"power sweeps exceeded budget of {max_sweeps}"
-                )
             total += 1
             # Full-frontier round: every node pushes its whole residue.
             acc += rr
@@ -767,7 +775,8 @@ def power_block_loop(graph, reserves, residues, alpha, tol, sources, *,
                 continue
             due = np.flatnonzero(alive & (check_at <= total))
             rs = _row_sums(rr.T[due])
-            converged = rs <= tol
+            # At the cap every live column is due and freezes as it is.
+            converged = (rs <= tol) | (total >= max_sweeps)
             done = due[converged]
             for j, value in zip(done.tolist(), rs[converged].tolist()):
                 c = int(cols[j])

@@ -432,8 +432,8 @@ class ConcurrentQueryEngine:
     def _compute_cpi(self, graph, source, accuracy, rounds, epoch):
         """One cheap-tier solve.  Runs in the calling thread even on the
         multi-process engine: the whole point of the tier is an answer
-        whose cost is a handful of frontier sweeps, not worth a
-        process round-trip."""
+        whose cost is a handful of power sweeps on the snapshot's cached
+        operator, not worth a process round-trip."""
         from repro.core.cpi import cpi
 
         tic = time.perf_counter()

@@ -28,7 +28,7 @@ import pytest
 
 from repro.baselines.power import power_iteration
 from repro.core import AccuracyParams, msrwr, powerpush, powerpush_batch
-from repro.core.powerpush import SOLVER_ENV, get_solver, resolve_solver
+from repro.core.solvers import SOLVER_ENV, get_solver, resolve_solver
 from repro.core.resacc import resacc
 from repro.errors import ParameterError
 from repro.graph import generators

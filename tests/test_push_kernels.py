@@ -17,6 +17,9 @@ Covers the PR's contracts:
   same column inside a wider block, under both dangling policies;
 * ``power_block_loop``'s decay prediction only skips checks: each
   column freezes at the first sweep whose residue mass reaches ``tol``;
+* ``max_sweeps`` caps a column (written back with its leftover mass)
+  without moving the bits of columns that finish first, and PowerPush's
+  drain still raises when capped above ``tol``;
 * the public ``csr_matrix`` fallback for scipy builds without the
   private ``_sparsetools`` kernels makes the same push decisions and
   reaches the same fixpoint (byte-equal on a preferential-attachment
@@ -424,6 +427,93 @@ class TestSweepPrediction:
             tol, np.asarray(sources))
         for c, s in enumerate(sources):
             assert sweeps[c] == self.first_crossing(graph, s, tol)
+
+
+class TestSweepCap:
+    """``max_sweeps`` caps a column instead of raising: the capped
+    column is written back with its leftover mass, and columns that
+    finish first keep the bits of their solo run."""
+
+    GRAPHS = [
+        generators.preferential_attachment(300, 3, seed=0),
+        random_dangling_graph(5, "restart"),
+        random_dangling_graph(5, "absorb"),
+    ]
+    IDS = ["no-dangling", "restart", "absorb"]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    @pytest.mark.parametrize("graph", GRAPHS, ids=IDS)
+    def test_capped_column_keeps_unit_mass(self, graph, tol):
+        reserve, residue = init_state(graph, 0)
+        r_sums, sweeps = kernels.power_block_loop(
+            graph, [reserve], [residue], ALPHA, tol, np.asarray([0]),
+            max_sweeps=6)
+        assert sweeps[0] == 6
+        assert r_sums[0] == np.ascontiguousarray(residue).sum() > tol
+        assert abs(reserve.sum() + r_sums[0] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=IDS)
+    def test_zero_cap_leaves_state_untouched(self, graph):
+        reserve, residue = init_state(graph, 3)
+        r_sums, sweeps = kernels.power_block_loop(
+            graph, [reserve], [residue], ALPHA, 1e-9, np.asarray([3]),
+            max_sweeps=0)
+        assert sweeps[0] == 0 and r_sums[0] == 1.0
+        assert not reserve.any() and residue[3] == 1.0
+
+    @staticmethod
+    def state(graph, source, scale):
+        reserve, residue = init_state(graph, source)
+        return reserve, residue * scale
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=IDS)
+    def test_mixed_block_keeps_solo_bits(self, graph):
+        """A column finishing before the cap matches its uncapped solo
+        run; the capped column matches its capped solo run."""
+        source, tol = 1, 1e-9
+        solo = {}
+        for scale in (1e-3, 1.0):
+            reserve, residue = self.state(graph, source, scale)
+            _, sweeps = kernels.power_block_loop(
+                graph, [reserve], [residue], ALPHA, tol,
+                np.asarray([source]))
+            solo[scale] = int(sweeps[0])
+        assert solo[1e-3] < solo[1.0]
+        cap = (solo[1e-3] + solo[1.0]) // 2
+        assert solo[1e-3] < cap < solo[1.0]
+
+        block = [self.state(graph, source, s) for s in (1e-3, 1.0)]
+        r_sums, sweeps = kernels.power_block_loop(
+            graph, [r for r, _ in block], [q for _, q in block], ALPHA,
+            tol, np.asarray([source, source]), max_sweeps=cap)
+        assert sweeps.tolist() == [solo[1e-3], cap]
+        assert r_sums[0] <= tol < r_sums[1]
+        for c, (scale, budget) in enumerate([(1e-3, None), (1.0, cap)]):
+            reserve, residue = self.state(graph, source, scale)
+            kwargs = {} if budget is None else {"max_sweeps": budget}
+            solo_sums, _ = kernels.power_block_loop(
+                graph, [reserve], [residue], ALPHA, tol,
+                np.asarray([source]), **kwargs)
+            assert solo_sums[0] == r_sums[c]
+            assert reserve.tobytes() == block[c][0].tobytes()
+            assert residue.tobytes() == block[c][1].tobytes()
+
+    def test_powerpush_drain_raises_when_capped(self, monkeypatch):
+        import importlib
+
+        from repro.obs.trace import NULL_TRACE
+
+        pp = importlib.import_module("repro.core.powerpush")
+
+        graph = generators.preferential_attachment(300, 3, seed=0)
+        monkeypatch.setattr(pp, "MAX_POWER_SWEEPS", 3)
+        state = pp.PushState(graph, 0, ALPHA, *init_state(graph, 0),
+                             get_push_cache(graph))
+        with pytest.raises(ConvergenceError):
+            state.drain(1e-9, NULL_TRACE)
+        assert state.sweeps == 3 and state.r_sum > 1e-9
+        with pytest.raises(ConvergenceError):
+            pp.powerpush_batch(graph, [0, 5])
 
 
 # ---------------------------------------------------------------------------

@@ -53,21 +53,85 @@ class TestCPIBound:
                   for r in (2, 4, 8, 16)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
-    def test_tol_mode_converges(self, ba_graph):
-        result = cpi(ba_graph, 0, tol=1e-3)
-        assert result.extras["error_bound"] <= 1e-3
-
     def test_result_is_labelled(self, tiny_graph):
         result = cpi(tiny_graph, 0, rounds=4)
         assert result.algorithm == "cpi"
         assert tier_of(result) == TIER_CPI
         assert result.walks_used == 0
 
+    def test_traced_solve_records_one_phase(self, ba_graph):
+        from repro.obs.trace import QueryTrace
+
+        trace = QueryTrace()
+        result = cpi(ba_graph, 0, rounds=4, trace=trace)
+        (phase,) = trace.phases
+        assert phase.name == "cpi"
+        assert phase.residue_before == 1.0
+        assert phase.residue_after == result.extras["error_bound"]
+
     def test_validation(self, tiny_graph):
         with pytest.raises(ParameterError):
             cpi(tiny_graph, 0, rounds=-1)
         with pytest.raises(ParameterError):
             cpi_error_bound(1.5, 4)
+
+
+def _cpi_graph(request, name, dangling):
+    """A contract-test graph: ``ba``, ``web`` (dangling nodes) or
+    ``path3`` (``0 -> 1 -> 2``, node 2 dangling)."""
+    from repro.graph import CSRGraph, generators
+
+    if name == "path3":
+        return generators.path(3, dangling=dangling)
+    base = request.getfixturevalue(f"{name}_graph")
+    return CSRGraph(base.n, base.indptr, base.indices, dangling=dangling)
+
+
+class TestCPIContract:
+    """The CPI tier's advertised contract against an exact oracle:
+    a uniform underestimate within ``error_bound``, which is the
+    leftover mass and never more than ``(1 - alpha)^rounds``."""
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 8, 32])
+    @pytest.mark.parametrize("dangling", ["absorb", "restart"])
+    @pytest.mark.parametrize("name", ["ba", "web", "path3"])
+    def test_underestimate_within_bound(self, request, name, dangling,
+                                        rounds):
+        from repro.baselines.inverse import ExactSolver
+
+        graph = _cpi_graph(request, name, dangling)
+        source = 0
+        if dangling == "absorb":
+            exact = ExactSolver(graph, alpha=0.2).query(source).estimates
+        else:
+            exact = power_iteration(graph, source, tol=1e-14).estimates
+        result = cpi(graph, source, alpha=0.2, rounds=rounds)
+        bound = result.extras["error_bound"]
+        diff = exact - result.estimates
+        assert diff.min() >= -1e-12
+        assert diff.max() <= bound + 1e-12
+        assert abs(result.estimates.sum() + bound - 1.0) <= 1e-12
+        assert result.extras["rounds"] <= rounds
+        assert bound <= cpi_error_bound(0.2, rounds)
+
+    @pytest.mark.parametrize("dangling", ["absorb", "restart"])
+    def test_zero_rounds_places_nothing(self, ba_graph, dangling):
+        from repro.graph import CSRGraph
+
+        graph = CSRGraph(ba_graph.n, ba_graph.indptr, ba_graph.indices,
+                         dangling=dangling)
+        result = cpi(graph, 0, rounds=0)
+        assert not result.estimates.any()
+        assert result.extras["error_bound"] == 1.0
+        assert result.extras["rounds"] == 0
+
+    def test_absorbed_path_stops_when_mass_runs_out(self):
+        from repro.graph import generators
+
+        result = cpi(generators.path(3), 0, rounds=8)
+        assert result.extras["rounds"] == 3
+        assert result.extras["error_bound"] == 0.0
+        assert result.estimates.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestTierPolicy:
