@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import AccuracyParams, datasets
 from repro.analysis import required_walks, walk_savings_factor
-from repro.core import personalized_pagerank, topk_ssrwr
+from repro.core import answer_top_k, personalized_pagerank
 from repro.weighted import (
     from_weighted_edges,
     weighted_power_iteration,
@@ -47,12 +47,11 @@ def demo_topk():
     print("=== top-K with separation certificate ===")
     graph = datasets.load("web_stan", scale=0.4)
     accuracy = AccuracyParams.paper_defaults(graph.n)
-    top = topk_ssrwr(graph, 0, 10, accuracy=accuracy, seed=2)
-    print(f"top-{top.k} nodes: {top.nodes.tolist()}")
-    print(f"separation margin: {top.separation_margin:.3f} "
-          f"(certified: {top.certified})")
-    print("margin > 1 means the k-th and (k+1)-th estimates are so far "
-          "apart that\nthe eps-contract rules out a swap\n")
+    top = answer_top_k(graph, 0, 10, accuracy=accuracy)
+    print(f"top-{len(top.nodes)} nodes: {top.nodes.tolist()}")
+    print(f"bound gap: {top.bound_gap:.3g} (separated: {top.separated})")
+    print("a positive gap means the k-th lower bound clears every "
+          "outsider's upper\nbound, so the set is exact\n")
 
 
 def demo_weighted():

@@ -29,7 +29,6 @@ from repro.core.solvers import (
     get_solver,
     resolve_solver,
 )
-from repro.core.topk import TopKResult, topk_ssrwr
 from repro.core.topk_solver import TopKAnswer, answer_top_k
 from repro.core.variants import (
     no_loop_resacc,
@@ -48,7 +47,6 @@ __all__ = [
     "SOLVER_ENV",
     "SSRWRResult",
     "TopKAnswer",
-    "TopKResult",
     "answer_top_k",
     "cpi",
     "cpi_error_bound",
@@ -73,5 +71,4 @@ __all__ = [
     "resolve_solver",
     "save_result",
     "top_k_order",
-    "topk_ssrwr",
 ]

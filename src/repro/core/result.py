@@ -15,8 +15,8 @@ def top_k_order(estimates, k):
     estimates preserves index order within each tied group), so a top-k
     answer is byte-stable across runs, worker threads/processes and
     engines whenever the estimate vector is.  Every consumer --
-    :meth:`SSRWRResult.top_k`, :func:`repro.core.topk.topk_ssrwr`, the
-    dedicated solver in :mod:`repro.core.topk_solver` -- must order
+    :meth:`SSRWRResult.top_k` and the top-k envelope in
+    :mod:`repro.core.topk_solver` -- must order
     through this helper rather than sorting ad hoc.
 
     The answer is ``np.argsort(-estimates, kind="stable")[:k]`` (NaNs

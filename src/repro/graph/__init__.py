@@ -32,6 +32,7 @@ from repro.graph.dynamic import (
     delete_edge,
     delete_edges,
     delete_nodes,
+    grow_nodes,
     insert_edge,
     rewire_random_edges,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "from_networkx",
     "graph_digest",
     "graph_stats",
+    "grow_nodes",
     "hop_structure",
     "induced_subgraph",
     "ingest_edge_list",

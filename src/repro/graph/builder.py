@@ -1,10 +1,11 @@
-"""Incremental graph construction for streaming/dynamic workloads.
+"""Incremental graph construction from a mutable edge set.
 
-The Fig. 23 experiment and the recommendation example both mutate graphs
-edge by edge.  Rebuilding a CSR from a full edge list on every change is
-O(m); :class:`GraphBuilder` keeps a mutable edge set so a burst of
+:class:`GraphBuilder` keeps the edges as a Python set, so a burst of
 updates costs O(changes) and only the final :meth:`build` pays the CSR
-construction.
+construction.  It is the straightforward reference for edit sequences:
+the property tests and ``perfbench/checker.py`` replay a serving
+engine's edits through it and compare against the engine's snapshots,
+which :mod:`repro.graph.dynamic` splices directly.
 
 This is a *builder*, not an index: it stores nothing derived, which is
 exactly the index-free contract ResAcc relies on.

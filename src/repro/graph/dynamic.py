@@ -1,18 +1,20 @@
-"""Graph mutation helpers for the dynamic-graph experiment (Fig. 23).
+"""Graph mutation helpers: pure functions from one CSR graph to the next.
 
-Index-free algorithms such as ResAcc pay **zero** cost when the graph
-changes, whereas index-oriented competitors must rebuild (parts of) their
-index.  These helpers produce the post-update graph so the benchmark can
-measure each competitor's rebuild time.
+Two kinds of caller use them:
 
-Bulk updates rebuild the CSR arrays; the cost is O(n + m), which is
-itself far cheaper than any of the index rebuilds being measured.  For
-the serving tier's single-edge mutations :func:`insert_edge` /
-:func:`delete_edge` edit the CSR arrays in place of a rebuild: one
-``np.insert``/``np.delete`` memcpy instead of re-sorting the whole edge
-set, producing arrays byte-identical to a
-:class:`repro.graph.builder.GraphBuilder` rebuild (rows stay sorted and
-deduplicated).
+* the serving engines' write path (:mod:`repro.serving.engine`): every
+  ``add_edge`` / ``remove_edge`` / ``remove_node`` computes its next
+  snapshot from the current one with :func:`grow_nodes`,
+  :func:`insert_edge`, :func:`delete_edge` and :func:`delete_nodes`.
+  The single-edge splices cost one ``np.insert``/``np.delete`` memcpy
+  instead of re-sorting the whole edge set; on a row-sorted
+  deduplicated graph their output is byte-identical to a
+  :class:`repro.graph.builder.GraphBuilder` rebuild, the reference the
+  tests and ``perfbench/checker.py`` replay edits through;
+* bulk edits (:func:`add_edges`, :func:`delete_edges`,
+  :func:`delete_nodes`, :func:`rewire_random_edges`) that rebuild the
+  CSR arrays in O(n + m) -- the Fig. 23 node-deletion experiment
+  (:mod:`repro.bench.appendix`) and the examples use these.
 """
 
 from __future__ import annotations
@@ -55,15 +57,28 @@ def _check_endpoints(graph, u, v):
         )
 
 
+def grow_nodes(graph, n):
+    """New graph with ``n`` nodes: ids ``graph.n .. n-1`` are appended
+    as empty (dangling) rows.  Returns ``graph`` itself when it already
+    has ``n`` nodes or more."""
+    n = int(n)
+    if n <= graph.n:
+        return graph
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indptr[:graph.n + 1] = graph.indptr
+    indptr[graph.n + 1:] = graph.m
+    return CSRGraph(n, indptr, graph.indices, dangling=graph.dangling,
+                    validate=False)
+
+
 def insert_edge(graph, u, v):
     """New graph with the directed edge ``(u, v)`` inserted.
 
     A single-edge *delta* edit: the target is spliced into row ``u`` at
     its sorted position (one ``np.insert`` memcpy, no edge-set re-sort),
-    so for a row-sorted deduplicated graph -- the
-    :class:`repro.graph.builder.GraphBuilder` invariant -- the result is
-    byte-identical to a full ``from_edges`` rebuild.  On a multigraph it
-    adds one more copy.
+    so for a row-sorted deduplicated graph -- every ``from_edges``
+    output -- the result is byte-identical to a full ``from_edges``
+    rebuild.  On a multigraph it adds one more copy.
     """
     u, v = int(u), int(v)
     _check_endpoints(graph, u, v)
@@ -102,9 +117,10 @@ def delete_nodes(graph, nodes, *, relabel=False):
 
     With ``relabel=False`` (default) the removed ids stay in the graph as
     isolated nodes, which keeps downstream id-based bookkeeping valid --
-    exactly what the Fig. 23 node-deletion experiment needs.  With
-    ``relabel=True`` the survivors are compacted to ``0 .. n-k-1`` and the
-    id mapping is returned as a second value.
+    exactly what the Fig. 23 node-deletion experiment and the serving
+    engines' ``remove_node`` need.  With ``relabel=True`` the survivors
+    are compacted to ``0 .. n-k-1`` and the id mapping is returned as a
+    second value.
     """
     doomed = np.zeros(graph.n, dtype=bool)
     node_arr = np.asarray(list(nodes), dtype=np.int64)

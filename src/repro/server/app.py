@@ -43,7 +43,11 @@ from dataclasses import dataclass
 
 from repro.core.params import AccuracyParams
 from repro.core.solvers import SOLVERS
-from repro.errors import DeadlineExceededError, ParameterError
+from repro.errors import (
+    DeadlineExceededError,
+    GraphFormatError,
+    ParameterError,
+)
 from repro.server import protocol
 from repro.server.limits import (
     AdmissionController,
@@ -361,7 +365,7 @@ class SSRWRServer:
         except DeadlineExceededError as exc:
             return (504, json_body({"error": str(exc)}), None,
                     "application/json")
-        except ParameterError as exc:
+        except (ParameterError, GraphFormatError) as exc:
             return (400, json_body({"error": str(exc)}), None,
                     "application/json")
         except Exception as exc:   # noqa: BLE001 -- last-resort 500

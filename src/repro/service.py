@@ -39,8 +39,9 @@ class QueryEngine(ConcurrentQueryEngine):
     Parameters
     ----------
     graph:
-        Initial graph (copied into an internal builder; later mutations
-        do not affect the caller's object).
+        Initial graph (as in the base engine: an in-memory graph is
+        copied into a canonical snapshot, an mmap graph served as-is;
+        later mutations do not affect the caller's object).
     solver:
         Either a solver name (``"auto"`` / ``"resacc"`` /
         ``"powerpush"``, resolved via the ``REPRO_SOLVER`` environment

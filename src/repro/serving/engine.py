@@ -44,10 +44,18 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core import solvers
 from repro.core.params import AccuracyParams
-from repro.errors import DeadlineExceededError, ParameterError
-from repro.graph.builder import GraphBuilder
+from repro.errors import (
+    DeadlineExceededError,
+    GraphFormatError,
+    ParameterError,
+)
+from repro.graph import dynamic
+from repro.graph.build import from_edges
+from repro.graph.mmap import mmap_path_of
 from repro.obs.trace import DeadlineTrace, QueryTrace
 
 #: Thread-name prefix for pool workers; traces are tagged with these
@@ -149,8 +157,10 @@ class ConcurrentQueryEngine:
     Parameters
     ----------
     graph:
-        Initial graph (copied into an internal builder; later mutations
-        do not affect the caller's object).
+        Initial graph.  An in-memory graph is copied once into a
+        canonical snapshot (rows sorted and deduplicated); an mmap-backed
+        graph is served as-is.  Mutations replace the snapshot and never
+        touch the caller's object or the backing file.
     solver:
         A solver name (``"auto"`` / ``"resacc"`` / ``"powerpush"``), a
         custom callable ``(graph, source, accuracy, seed) ->
@@ -223,20 +233,13 @@ class ConcurrentQueryEngine:
             raise ParameterError(
                 f"solve_margin must be in (0, 1], got {solve_margin}"
             )
-        from repro.graph.mmap import mmap_path_of
-
-        if mmap_path_of(graph) is not None:
-            # Mmap-backed snapshot: GraphBuilder would materialize the
-            # whole edge set as Python tuples (O(m) RAM), defeating the
-            # out-of-core tier.  Serve the snapshot directly; a builder
-            # is created lazily on first mutation (which *does* pull the
-            # graph into RAM -- mutation of an mmap graph is supported
-            # but not cheap).
-            self._builder = None
-            self._graph = graph
-        else:
-            self._builder = GraphBuilder(graph=graph)
-            self._graph = self._builder.build()
+        # Canonical rows keep every later splice byte-identical to a
+        # rebuild.  An mmap graph is served as-is: copying it would pull
+        # the whole adjacency into RAM, defeating the out-of-core tier.
+        if mmap_path_of(graph) is None:
+            graph = from_edges(graph.n, graph.edge_array(),
+                               dangling=graph.dangling)
+        self._graph = graph
         self._accuracy = accuracy
         self._seed = int(seed)
         self._solver = solvers.get(solver)
@@ -838,16 +841,25 @@ class ConcurrentQueryEngine:
     # Updates (quiesce queries, bump the epoch, invalidate atomically)
     # ------------------------------------------------------------------
     def add_edge(self, u, v, *, undirected=False):
-        """Insert an edge; returns whether the graph changed."""
+        """Insert an edge, growing the node count to fit it; returns
+        whether the graph changed.  A self-loop or a negative id raises
+        :class:`GraphFormatError`."""
         u, v = int(u), int(v)
+        if u == v:
+            raise GraphFormatError("self-loops are not allowed")
+        if u < 0 or v < 0:
+            raise GraphFormatError(f"negative node id in edge ({u}, {v})")
+        pairs = ((u, v), (v, u)) if undirected else ((u, v),)
 
-        def mutation(builder):
-            edits = []
-            if builder.add_edge(u, v, grow=True):
-                edits.append(("add", u, v))
-            if undirected and builder.add_edge(v, u, grow=True):
-                edits.append(("add", v, u))
-            return bool(edits), edits
+        def mutation(graph):
+            edits = [("add", a, b) for a, b in pairs
+                     if max(a, b) >= graph.n or not graph.has_edge(a, b)]
+            if not edits:
+                return False, None, edits
+            graph = dynamic.grow_nodes(graph, max(u, v) + 1)
+            for _, a, b in edits:
+                graph = dynamic.insert_edge(graph, a, b)
+            return True, graph, edits
 
         return self._mutate(mutation)
 
@@ -855,9 +867,11 @@ class ConcurrentQueryEngine:
         """Remove a directed edge; returns whether it existed."""
         u, v = int(u), int(v)
 
-        def mutation(builder):
-            existed = builder.remove_edge(u, v)
-            return existed, ([("remove", u, v)] if existed else [])
+        def mutation(graph):
+            if not (0 <= u < graph.n and 0 <= v < graph.n
+                    and graph.has_edge(u, v)):
+                return False, None, []
+            return True, dynamic.delete_edge(graph, u, v), [("remove", u, v)]
 
         return self._mutate(mutation)
 
@@ -867,9 +881,17 @@ class ConcurrentQueryEngine:
         Always a full rebuild + invalidation: the edit touches an
         unbounded set of out-rows, so no useful per-entry bound exists.
         """
-        def mutation(builder):
-            removed = builder.remove_node_edges(v)
-            return removed, (None if removed else [])
+        v = int(v)
+
+        def mutation(graph):
+            if not 0 <= v < graph.n:
+                return 0, None, None
+            # Incident edges: v's out-row plus its in-edges.
+            removed = graph.out_degree(v) + int(
+                np.count_nonzero(graph.indices == v))
+            if not removed:
+                return 0, None, None
+            return removed, dynamic.delete_nodes(graph, [v]), None
 
         return self._mutate(mutation)
 
@@ -887,68 +909,37 @@ class ConcurrentQueryEngine:
         return cleared
 
     def _mutate(self, mutation):
-        """Apply one mutation under the write gate.
+        """Apply one mutation under the write gate, atomically.
 
-        ``mutation(builder)`` returns ``(changed, edits)`` where
-        ``edits`` is a list of ``("add"|"remove", u, v)`` single-edge
-        descriptors, or None when the change is not expressible as
-        single-edge edits (node removal) and must take the full
-        rebuild-and-invalidate path.
+        ``mutation(graph)`` computes the edit from the current snapshot
+        and returns ``(result, new_graph, edits)``: the caller's return
+        value, the next snapshot (None when nothing changed), and the
+        ``("add"|"remove", u, v)`` single-edge descriptors -- or None
+        when the change is not expressible as single-edge edits (node
+        removal) and must clear the whole cache.  Nothing is committed
+        until the next snapshot exists, so an edit that raises leaves
+        the epoch, snapshot, cache and stats as they were.
         """
         from repro.push.kernels import release_push_cache
 
         repairs = []
         with self._gate.write() as gate:
-            changed, edits = mutation(self._ensure_builder())
-            if changed:
+            old_graph = self._graph
+            result, graph, edits = mutation(old_graph)
+            if graph is not None:
                 gate.advance()
                 # Release the old snapshot's push cache inside the write
                 # gate: quiescence guarantees no query is mid-push on its
                 # thresholds or scratch buffers.
-                old_graph = self._graph
                 release_push_cache(old_graph)
-                self._graph = self._apply_edits(old_graph, edits)
-                repairs = self._invalidate_for(old_graph, self._graph,
-                                               edits)
+                self._graph = graph
+                repairs = self._invalidate_for(old_graph, graph, edits)
                 self._retire_snapshot_state()
                 with self._stats_lock:
                     self.stats.updates += 1
         if repairs:
             self._schedule_repairs(repairs)
-        return changed
-
-    def _ensure_builder(self):
-        """The mutation builder, created lazily for mmap-backed graphs.
-
-        Callers hold the write gate.  The first mutation of an
-        mmap-served engine pays the O(m) materialization that the
-        constructor deliberately skipped.
-        """
-        if self._builder is None:
-            self._builder = GraphBuilder(graph=self._graph)
-        return self._builder
-
-    def _apply_edits(self, old_graph, edits):
-        """The post-mutation snapshot.
-
-        Single-edge edits splice the CSR arrays directly
-        (:func:`repro.graph.dynamic.insert_edge` / ``delete_edge``: one
-        memcpy each) instead of re-sorting the whole edge set; the
-        result is byte-identical to ``self._builder.build()`` because
-        the builder keeps rows sorted and deduplicated.  Edits that grow
-        the node count -- and non-edge mutations (``edits is None``) --
-        fall back to the full rebuild.
-        """
-        from repro.graph.dynamic import delete_edge, insert_edge
-
-        if edits is None or any(max(u, v) >= old_graph.n
-                                for _, u, v in edits):
-            return self._builder.build()
-        graph = old_graph
-        for op, u, v in edits:
-            graph = (insert_edge(graph, u, v) if op == "add"
-                     else delete_edge(graph, u, v))
-        return graph
+        return result
 
     def _invalidate_for(self, old_graph, new_graph, edits):
         """Invalidate the cache for a mutation; returns keys to repair.

@@ -138,7 +138,7 @@ class MultiProcessQueryEngine(ConcurrentQueryEngine):
     Parameters
     ----------
     graph:
-        Initial graph (copied into an internal builder, like the base
+        Initial graph (canonicalised or served as-is, like the base
         engine).
     solver:
         Solver name (``"auto"`` / ``"resacc"`` / ``"powerpush"``) or

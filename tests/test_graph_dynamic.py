@@ -18,6 +18,7 @@ from repro.graph import (
     delete_edges,
     delete_nodes,
     from_edges,
+    grow_nodes,
     insert_edge,
 )
 from repro.graph import generators
@@ -168,6 +169,16 @@ class TestGrowthAndRelabel:
         assert g2.n == 6
         assert g2.has_edge(2, 5)
         assert g2.has_edge(0, 1)
+
+    def test_grow_nodes_appends_empty_rows(self):
+        g = generators.preferential_attachment(30, 2, seed=5)
+        grown = grow_nodes(g, g.n + 4)
+        rebuilt = from_edges(g.n + 4, g.edge_array(), dangling=g.dangling)
+        assert grown.n == rebuilt.n
+        assert grown.indptr.tobytes() == rebuilt.indptr.tobytes()
+        assert grown.indices.tobytes() == rebuilt.indices.tobytes()
+        assert grow_nodes(g, g.n) is g
+        assert grow_nodes(g, 2) is g
 
     def test_add_edges_without_grow_rejects_new_ids(self):
         g = from_edges(3, [(0, 1)])

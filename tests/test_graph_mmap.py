@@ -249,7 +249,7 @@ class TestMmapSolves:
 
     def test_mutation_detaches_from_file(self, tmp_path, ba_graph):
         """Engines over mmap graphs stay mutable: the first write
-        copies into a resident builder and the file is untouched."""
+        splices into a resident snapshot and the file is untouched."""
         from repro.serving import ConcurrentQueryEngine
 
         path = tmp_path / "mut.rcsr"

@@ -1,4 +1,4 @@
-"""Tests for the PPR extension, top-K queries, and confidence helpers."""
+"""Tests for the PPR extension and the confidence helpers."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.core import (
     normalize_preference,
     personalized_pagerank,
     resacc,
-    topk_ssrwr,
 )
 from repro.errors import ParameterError
 
@@ -94,44 +93,6 @@ class TestPersonalizedPageRank:
         pref = [1, 2]
         truth = exact_ppr(web_graph, pref, alpha=ALPHA)
         assert truth.sum() == pytest.approx(1.0, abs=1e-10)
-
-
-class TestTopK:
-    def test_returns_sorted_topk(self, ba_graph):
-        top = topk_ssrwr(ba_graph, 0, 10, seed=1)
-        assert top.k == 10
-        assert np.all(np.diff(top.values) <= 0)
-        assert top.result.algorithm == "resacc"
-
-    def test_matches_truth_head(self, ba_graph, exact):
-        truth = exact.query(0).estimates
-        accuracy = AccuracyParams.paper_defaults(ba_graph.n)
-        top = topk_ssrwr(ba_graph, 0, 5, accuracy=accuracy, seed=2)
-        true_top = set(np.argsort(-truth)[:5].tolist())
-        assert len(set(top.nodes.tolist()) & true_top) >= 4
-
-    def test_separation_margin_definition(self, ba_graph):
-        top = topk_ssrwr(ba_graph, 0, 3, eps=0.0, seed=1)
-        estimates = top.result.estimates
-        order = np.argsort(-estimates)
-        expected = estimates[order[2]] / estimates[order[3]]
-        assert top.separation_margin == pytest.approx(expected)
-        assert top.certified == (top.separation_margin > 1.0)
-
-    def test_k_larger_than_n(self, ba_graph):
-        top = topk_ssrwr(ba_graph, 0, ba_graph.n + 50, seed=1)
-        assert top.k == ba_graph.n
-        assert top.separation_margin == float("inf")
-
-    def test_custom_solver(self, ba_graph):
-        from repro.baselines import fora
-
-        top = topk_ssrwr(ba_graph, 0, 5, solver=fora, seed=3)
-        assert top.result.algorithm == "fora"
-
-    def test_validation(self, ba_graph):
-        with pytest.raises(ParameterError):
-            topk_ssrwr(ba_graph, 0, 0)
 
 
 class TestConfidence:

@@ -178,6 +178,67 @@ def test_builder_add_remove_inverse(g, extra_edges):
     assert builder.build() == g
 
 
+@st.composite
+def edit_sequences(draw, max_len=12):
+    """``(kind, u, v)`` engine edits over ids that may lie past ``n``
+    (growing adds, out-of-range removals) or be negative."""
+    ids = st.integers(-2, 35)
+    kinds = st.sampled_from(["add", "add_undirected", "remove",
+                             "remove_node"])
+    return draw(st.lists(st.tuples(kinds, ids, ids), max_size=max_len))
+
+
+@common
+@given(unweighted_graphs(), st.sampled_from(["absorb", "restart"]),
+       edit_sequences())
+def test_engine_edits_replay_like_builder(g, dangling, edits):
+    """Both engine inputs -- canonicalised in-memory and mmap served
+    as-is -- return what a GraphBuilder replay returns and hold its
+    bytes after every edit; a rejected add changes nothing."""
+    import pathlib
+    import tempfile
+
+    from repro.errors import GraphFormatError
+    from repro.graph import load_mmap, save_mmap
+    from repro.serving import ConcurrentQueryEngine
+
+    g = g.with_dangling(dangling)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "g.rcsr"
+        save_mmap(g, path)
+        for start in (g, load_mmap(path)):
+            reference = GraphBuilder(graph=g)
+            with ConcurrentQueryEngine(start, max_workers=1) as engine:
+                epoch = 0
+                for kind, u, v in edits:
+                    if kind == "remove":
+                        want = reference.remove_edge(u, v)
+                        got = engine.remove_edge(u, v)
+                    elif kind == "remove_node":
+                        want = reference.remove_node_edges(u)
+                        got = engine.remove_node(u)
+                    elif u == v or min(u, v) < 0:
+                        with pytest.raises(GraphFormatError):
+                            engine.add_edge(u, v)
+                        continue
+                    elif kind == "add":
+                        want = reference.add_edge(u, v, grow=True)
+                        got = engine.add_edge(u, v)
+                    else:
+                        want = reference.add_undirected_edge(u, v,
+                                                             grow=True)
+                        got = engine.add_edge(u, v, undirected=True)
+                    assert got == want
+                    epoch += bool(want)
+                    assert engine.epoch == epoch
+                    built, served = reference.build(), engine.graph
+                    assert served.n == built.n
+                    assert served.dangling == built.dangling
+                    assert served.indptr.tobytes() == built.indptr.tobytes()
+                    assert (served.indices.tobytes()
+                            == built.indices.tobytes())
+
+
 # ----------------------------------------------------------------------
 # Result and report invariants
 # ----------------------------------------------------------------------

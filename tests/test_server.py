@@ -456,6 +456,26 @@ class TestMutation:
         finally:
             handle.stop()
 
+    def test_bad_edge_is_400_and_changes_nothing(self):
+        graph = _graph()
+        handle = start_in_thread(_engine(graph), ServerConfig(port=0))
+        try:
+            with ServerClient(base_url=handle.url) as client:
+                for u, v, message in [(5, 5, "self-loop"),
+                                      (-1, 5, "negative node id"),
+                                      (5, -2, "negative node id")]:
+                    with pytest.raises(ServerError) as excinfo:
+                        client.add_edge(u, v, undirected=True)
+                    assert excinfo.value.status == 400
+                    assert message in str(excinfo.value)
+                    assert client.readyz()["epoch"] == 0
+                # Out-of-range removals are no-ops, not errors.
+                assert client.remove_edge(-1, 5)["changed"] is False
+                assert client.remove_node(-1)["changed"] is False
+                assert client.add_edge(0, 299)["epoch"] == 1
+        finally:
+            handle.stop()
+
     def test_mutated_answers_match_fresh_sequential_engine(self):
         graph = _graph()
         handle = start_in_thread(_engine(graph), ServerConfig(port=0))

@@ -28,9 +28,14 @@ import pytest
 
 from repro.baselines.power import power_iteration
 from repro.core.params import AccuracyParams
-from repro.graph import from_edges, generators
+from repro.errors import GraphFormatError
+from repro.graph import GraphBuilder, dynamic, from_edges, generators
 from repro.obs.trace import DeadlineTrace, QueryTrace
-from repro.serving import ConcurrentQueryEngine, SingleFlightCache
+from repro.serving import (
+    ConcurrentQueryEngine,
+    MultiProcessQueryEngine,
+    SingleFlightCache,
+)
 from repro.serving import retention
 
 JOIN_TIMEOUT = 30.0
@@ -372,3 +377,56 @@ class TestMetricsExposure:
             if line.startswith("repro_engine_entries_retained_total"))
         assert float(retained_line.split()[-1]) == len(SOURCES)
         assert "repro_engine_entries_repaired_total" in page
+
+
+def _snapshot_bytes(graph):
+    return graph.n, graph.indptr.tobytes(), graph.indices.tobytes()
+
+
+class TestAtomicEdits:
+    """An edit that raises commits nothing: the snapshot is computed
+    before the epoch, cache, pool or counters are touched."""
+
+    ENGINES = {
+        "threaded": lambda graph: ConcurrentQueryEngine(
+            graph, max_workers=2, seed=0),
+        "multiproc": lambda graph: MultiProcessQueryEngine(
+            graph, solver_workers=1, seed=0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ENGINES))
+    def test_failed_edit_changes_nothing(self, kind, monkeypatch):
+        graph = broadcaster_graph()
+        with self.ENGINES[kind](graph) as svc:
+            svc.query_batch(SOURCES)
+
+            def state():
+                return (svc.epoch, _snapshot_bytes(svc.graph),
+                        len(svc._cache), svc.stats.updates,
+                        svc.stats.invalidations)
+
+            before = state()
+
+            def failing_splice(*args, **kwargs):
+                raise MemoryError("splice failed")
+
+            monkeypatch.setattr(dynamic, "insert_edge", failing_splice)
+            # An in-range edit and one that grows the node count.
+            for u, v in [(CYCLE[0], CYCLE[5]), (CYCLE[0], graph.n + 3)]:
+                with pytest.raises(MemoryError):
+                    svc.add_edge(u, v, undirected=True)
+                assert state() == before
+            monkeypatch.undo()
+            for u, v in [(7, 7), (-1, 7), (7, -1)]:
+                with pytest.raises(GraphFormatError):
+                    svc.add_edge(u, v)
+                assert state() == before
+
+            assert svc.add_edge(CYCLE[0], graph.n + 3)
+            assert svc.epoch == before[0] + 1
+            assert svc.stats.updates == before[3] + 1
+            reference = GraphBuilder(graph=graph)
+            reference.add_edge(CYCLE[0], graph.n + 3, grow=True)
+            assert (_snapshot_bytes(svc.graph)
+                    == _snapshot_bytes(reference.build()))
+            assert svc.query(graph.n + 3).estimates.shape == (graph.n + 4,)
