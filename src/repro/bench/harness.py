@@ -781,12 +781,14 @@ def topk_benchmark(graph, *, k=4, num_sources=20, eps=0.05, seed=0,
     * ``full`` -- :func:`repro.core.resacc.resacc` to the full
       ``(eps, delta)`` guarantee, then ``result.top_k(k)``;
     * ``fast`` -- :func:`repro.core.topk_solver.answer_top_k` in
-      ``auto`` mode: the PowerPush envelope, its refinements charged.
+      ``auto`` mode: the PowerPush envelope, every sweep and certificate
+      check charged.
 
     Correctness gate: on every source where the envelope certified its
     set (``separated=True``) that set must exactly equal the
     :class:`~repro.baselines.inverse.ExactSolver` top-k set
-    (``agreement``).
+    (``agreement``).  ``median_sweeps`` / ``median_checks`` are the
+    median power sweeps and certificate checks per envelope answer.
 
     ``eps`` defaults to 0.05 rather than the paper's 0.5: the full
     solve pays ``~1/eps**2`` walks, the envelope only
@@ -830,7 +832,8 @@ def topk_benchmark(graph, *, k=4, num_sources=20, eps=0.05, seed=0,
             "full_seconds": full_seconds,
             "fast_seconds": fast_seconds,
             "separated": bool(answer.separated),
-            "refinements": int(answer.extras["refinements"]),
+            "sweeps": int(answer.extras["sweeps"]),
+            "checks": int(answer.extras["checks"]),
             "pushes": int(answer.pushes),
             "agree": agree,
         })
@@ -851,6 +854,10 @@ def topk_benchmark(graph, *, k=4, num_sources=20, eps=0.05, seed=0,
         "fast_seconds": fast_total,
         "speedup": (full_total / fast_total
                     if fast_total > 0 else float("inf")),
+        "median_sweeps": float(np.median(
+            [entry["sweeps"] for entry in per_source])),
+        "median_checks": float(np.median(
+            [entry["checks"] for entry in per_source])),
         "separated_count": separated_count,
         "unseparated_count": len(sources) - separated_count,
         "disagreements": disagreements,
@@ -947,29 +954,49 @@ def _run_dynamic_variant(graph, *, sources, rounds, write_every, site,
                 "entries_repaired": stats.entries_repaired,
             },
         }
-        contract_ok = None
+        contract_ok, checked = None, []
         if incremental and write_every > 0:
-            contract_ok = _check_cached_contracts(svc, accuracy)
+            contract_ok, checked = _check_cached_contracts(svc, accuracy)
         summary["retained_within_contract"] = contract_ok
+        summary["contract_checks"] = checked
     return summary
 
 
 def _check_cached_contracts(svc, accuracy, *, sample=3):
-    """Every sampled cached answer satisfies Definition 1 on the
+    """Check sampled cached answers against Definition 1 on the
     *current* graph: ``|est - exact| <= eps * exact`` wherever
     ``exact > delta``.  Retained entries get here on the strength of
     their offset bound alone -- they were solved against an earlier
-    snapshot."""
+    snapshot.
+
+    Returns ``(ok, entries)``: ``ok`` is true when every sampled entry
+    meets the contract (false when none was sampled), and ``entries``
+    holds one dict per sampled answer -- its ``source``, ``worst``
+    ratio ``error / (eps * exact)`` over the heavy nodes, whether it
+    was ``retained`` across the last edit or solved on the current
+    snapshot, its tracked ``eps_bound`` and whether it ``passed``.
+    """
     graph = svc.graph
+    last = svc.stats.extras.get("last_mutation") or {}
+    retained = set(last.get("retained_sources", ()))
     entries = [(key, value) for key, value in svc._cache.entries()
                if key[0] != "topk"][:sample]
-    for (source, _), result in entries:
+    report = []
+    for key, result in entries:
+        source = int(key[0])
         exact = power_iteration(graph, source, tol=1e-12).estimates
         heavy = exact > accuracy.delta
         errors = np.abs(result.estimates[heavy] - exact[heavy])
-        if not np.all(errors <= accuracy.eps * exact[heavy]):
-            return False
-    return bool(entries)
+        budget = accuracy.eps * exact[heavy]
+        meta = svc._cache.get_meta(key)
+        report.append({
+            "source": source,
+            "worst": float((errors / budget).max()) if budget.size else 0.0,
+            "retained": source in retained,
+            "eps_bound": None if meta is None else float(meta.eps_bound),
+            "passed": bool(np.all(errors <= budget)),
+        })
+    return bool(report) and all(e["passed"] for e in report), report
 
 
 def dynamic_benchmark(graph, *, num_unique=8, rounds=12, write_every=8,
@@ -999,7 +1026,8 @@ def dynamic_benchmark(graph, *, num_unique=8, rounds=12, write_every=8,
     (the "p95 barely moves" claim; gate at <= 1.5x) and
     ``p95_speedup_vs_quiesce``.  ``retained_within_contract`` reruns
     Definition 1 for sampled cached answers against an exact solve on
-    the post-edit graph.
+    the post-edit graph; ``contract_checks`` lists each sampled answer
+    (see :func:`_check_cached_contracts`).
 
     Returns a JSON-safe dict (``kind = "repro-dynamic-bench"``).
     """
@@ -1081,6 +1109,7 @@ def dynamic_benchmark(graph, *, num_unique=8, rounds=12, write_every=8,
         "p95_speedup_vs_quiesce": p95_speedup,
         "retained_within_contract":
             incremental["retained_within_contract"],
+        "contract_checks": incremental["contract_checks"],
     }
 
 

@@ -614,6 +614,8 @@ def _run_topk_bench(args):
     print(f"  full solve         {doc['full_seconds']:8.3f} s")
     print(f"  envelope           {doc['fast_seconds']:8.3f} s  "
           f"({doc['speedup']:.2f}x)")
+    print(f"  per envelope answer: median {doc['median_sweeps']:g} power "
+          f"sweeps, {doc['median_checks']:g} certificate checks")
     print(f"  separated: {doc['separated_count']}/"
           f"{workload['num_sources']}")
     print(f"  separated sets match the exact solve: {doc['agreement']}")
@@ -695,8 +697,16 @@ def _run_dynamic_bench(args):
                         encoding="utf-8")
         print(f"  written to {path}")
     if doc["retained_within_contract"] is False:
-        print("a retained cached answer violated its accuracy contract "
-              "against the exact solve", file=sys.stderr)
+        print("a cached answer violated its accuracy contract against the "
+              "exact solve", file=sys.stderr)
+        for entry in doc["contract_checks"]:
+            if entry["passed"]:
+                continue
+            origin = ("retained across edits" if entry["retained"]
+                      else "solved on the current snapshot")
+            print(f"  source {entry['source']}: worst error/(eps*exact) "
+                  f"{entry['worst']:.3f}, {origin}, tracked eps_bound "
+                  f"{entry['eps_bound']}", file=sys.stderr)
         return 1
     if (args.min_retention is not None
             and doc["retention_rate"] < args.min_retention):

@@ -21,7 +21,7 @@ top of the PR 4 kernel machinery:
   runs both stages and returns the in-place :class:`PushState`, which a
   caller can keep draining to a smaller ``tol`` (the top-k envelope of
   :mod:`repro.core.topk_solver` does).  Every power stage in
-  :mod:`repro.core` -- solo, blocked, the top-k refinement and the CPI
+  :mod:`repro.core` -- solo, blocked, the top-k envelope and the CPI
   tier of :mod:`repro.core.cpi` -- drains through :func:`_drain_states`,
   the only caller of ``power_block_loop``.
 

@@ -7,36 +7,41 @@ gets both from the bound the push invariant already gives, with no
 random walks (bound pruning in the spirit of K-dash, without its
 index):
 
-* **Envelope.**  After any number of pushes Equation 2 holds exactly::
+* **Per-node envelope.**  After any number of pushes Equation 2 holds
+  exactly::
 
       pi(s, t) = reserve(t) + sum_v residue(v) * pi(v, t)
 
-  and since ``0 <= pi(v, t)`` and ``sum_t pi(v, t) <= 1``, every node's
-  true score lies in ``[reserve(t), reserve(t) + r_sum]``.  PowerPush
-  (:func:`repro.core.powerpush.push_state`) drives ``r_sum`` down to
-  ``eps * delta``, so the reserves alone meet Definition 1.
+  With ``pi(t, t) <= 1`` and ``pi(v, t) <= b(t)`` for ``v != t`` (the
+  per-snapshot cap of :meth:`repro.push.kernels.SnapshotPushCache.
+  score_bound`), every node's true score lies in ``[reserve(t),
+  upper(t)]`` with::
 
-* **Certificate.**  Order the nodes by reserve
+      upper(t) = reserve(t) + residue(t) + (r_sum - residue(t)) * b(t)
+
+* **Certificate.**  Take ``S`` as the k nodes with the largest reserve
   (:func:`repro.core.result.top_k_order`, ties by ascending node id).
-  The set is certified when the strict gap::
+  The answer is final when the set is separated::
 
-      bound_gap = reserve_k - (reserve_{k+1} + r_sum)
+      bound_gap = min reserve[S] - max upper[not S] > 0
 
-  is positive: every member's lower bound then beats every outsider's
-  upper bound, so the set is the exact top-k set -- a deterministic
-  certificate, with no failure probability.
+  and every member meets Definition 1 from its own bounds,
+  ``upper(t) - reserve(t) <= eps * max(reserve(t), delta)``.  A
+  separated set is the exact top-k set -- a deterministic certificate,
+  with no failure probability.
 
-* **Refinement.**  When the gap is not positive, the power sweeps
-  continue in place on the same ``(reserve, residue)`` down to
-  ``tol / REFINE_FACTOR``; ``r_sum`` shrinks geometrically, so a few
-  refinements separate any pair of distinct scores near the boundary.
-  Each refinement is a ``"topk_refine"`` trace phase, so deadlines fire
-  between them.
+* **Check schedule.**  PowerPush drains to ``FIRST_CHECK * eps *
+  delta`` before the first check.  Each failed check predicts the
+  ``r_sum`` at which the worst outsider's and member's margins close
+  (reserves held still, widths shrinking with ``r_sum``) and drains to
+  it in place -- at least one sweep, at most a factor
+  :data:`MAX_STEP` -- as one ``"topk_refine"`` trace phase, so
+  deadlines fire between checks.
 
-* **Ties and the cap.**  Scores that are exactly equal across the
-  boundary can never separate.  After :data:`MAX_REFINEMENTS`
-  refinements the answer is returned with ``separated=False``; its
-  values still meet Definition 1.
+* **Ties.**  Scores that are exactly equal across the boundary can
+  never separate.  Once ``r_sum <= eps * delta / TIE_FLOOR`` the
+  answer is returned with ``separated=False``; every width is then
+  below ``eps * delta``, so its values still meet Definition 1.
 
 See ``docs/topk.md``.
 """
@@ -55,14 +60,37 @@ from repro.core.result import top_k_order
 from repro.errors import ParameterError
 from repro.obs.trace import NULL_TRACE
 
-#: Trace phase name of one envelope refinement.
+#: Trace phase name of the power sweeps between two certificate checks.
 TOPK_PHASE = "topk_refine"
 
-#: Each refinement divides the stopping mass ``tol`` by this factor.
-REFINE_FACTOR = 8.0
+#: The first check comes once ``r_sum <= FIRST_CHECK * eps * delta``.
+FIRST_CHECK = 16.0
 
-#: Refinements before an unseparated answer is returned as is.
-MAX_REFINEMENTS = 4
+#: A drain between two checks lowers ``r_sum`` by at most this factor.
+MAX_STEP = 8.0
+
+#: An answer that never separates (exact ties) stops at ``r_sum <=
+#: eps * delta / TIE_FLOOR`` with ``separated=False``.
+TIE_FLOOR = 8.0 ** 4
+
+_TINY = np.finfo(np.float64).tiny
+
+
+@dataclass
+class _Check:
+    """One certificate check: the top-k set ``order`` by reserve, every
+    node's upper bound, the margin ``min reserve[S] - max upper[not S]``
+    and the predicted ``r_sum`` factor that closes the worst margin
+    (``>= 1`` once every member meets Definition 1)."""
+
+    order: np.ndarray
+    upper: np.ndarray
+    gap: float
+    rho: float
+
+    @property
+    def passed(self):
+        return self.gap > 0 and self.rho >= 1.0
 
 
 @dataclass
@@ -71,14 +99,18 @@ class TopKAnswer:
 
     ``nodes`` / ``values`` are the answer (descending score, equal
     scores broken by ascending node id).  On the envelope path
-    (``path == "topk"``) ``lower = values = reserve`` and ``upper =
-    reserve + r_sum`` bracket each returned node's true score,
-    ``bound_width = r_sum``, and ``bound_gap`` is the certificate
-    margin ``reserve_k - (reserve_{k+1} + r_sum)``; ``separated`` is
-    true exactly when it is positive.  On the full path ``lower`` /
-    ``upper`` repeat the point estimates and the bound fields are
-    ``None``.  ``pushes`` / ``walks_used`` / ``rounds`` count the work
-    spent (``rounds`` = power stages run, refinements included).
+    (``path == "topk"``) ``lower = values = reserve`` and ``upper``
+    bracket each returned node's true score with the per-node bound
+    ``reserve + residue + (r_sum - residue) * b``; ``bound_width =
+    r_sum`` is the residue mass left, and ``bound_gap`` is the
+    certificate margin ``min reserve[S] - max upper[not S]``.
+    ``separated`` is true exactly when that margin is positive (every
+    returned value then also meets Definition 1 by ``upper - lower <=
+    eps * max(lower, delta)``).  On the full path ``lower`` / ``upper``
+    repeat the point estimates and the bound fields are ``None``.
+    ``pushes`` / ``walks_used`` / ``rounds`` count the work spent
+    (``rounds`` = certificate checks made; ``extras["sweeps"]`` = power
+    sweeps run).
 
     Iterating yields ``(nodes, values)`` so existing
     ``nodes, values = engine.top_k(...)`` call sites keep working.
@@ -115,42 +147,76 @@ class TopKAnswer:
                 f"pushes={self.pushes})")
 
 
+def _certify(state, bound, k, eps, delta):
+    """One certificate check of ``state``; returns a :class:`_Check`.
+
+    Ranks the nodes by reserve, bounds every node's score by its
+    per-node envelope ``[reserve, reserve + width]``, and predicts the
+    residue-mass factor ``rho`` that closes the worst margin, over
+    every outsider whose upper bound still reaches the k-th reserve
+    and every member whose width breaks Definition 1.  The prediction
+    assumes reserves hold still and widths shrink in proportion to
+    ``r_sum``.
+    """
+    reserve, residue, r_sum = state.reserve, state.residue, state.r_sum
+    upper = r_sum - residue                  # the width, until += reserve
+    upper *= bound
+    upper += residue
+    if state.graph.dangling == "restart":
+        upper[state.source] = r_sum          # b(s) = 1
+    order = top_k_order(reserve, k)
+    low = reserve[order]
+    rho = float(np.min(eps * np.maximum(low, delta)
+                       / np.maximum(upper[order], _TINY)))
+    upper += reserve
+    gap = math.inf
+    if k < reserve.shape[0]:
+        kth = low[-1]
+        member_upper = upper[order]
+        upper[order] = -math.inf
+        gap = float(kth - upper.max())
+        if gap <= 0:
+            blocked = np.flatnonzero(upper >= kth)
+            need = kth - reserve[blocked]
+            rho = min(rho, float(np.min(
+                need / np.maximum(upper[blocked] - reserve[blocked], _TINY))))
+        upper[order] = member_upper
+    return _Check(order, upper, gap, rho)
+
+
 def _envelope(graph, source, k, params, accuracy, trace):
     """The certified (or capped) envelope answer; ``path="topk"``."""
-    tol = float(accuracy.eps) * float(accuracy.delta)
+    eps, delta = float(accuracy.eps), float(accuracy.delta)
+    tol = eps * delta
+    floor = tol / TIE_FLOOR
     trace.note(
         algorithm="topk", source=int(source), n=graph.n, m=graph.m, k=k,
-        alpha=params.alpha, eps=accuracy.eps, delta=accuracy.delta,
-        tol=tol,
+        alpha=params.alpha, eps=eps, delta=delta, tol=tol,
     )
-    state, _ = push_state(graph, source, params, tol, trace)
-    reserve = state.reserve
-    refinements = 0
+    state, _ = push_state(graph, source, params, FIRST_CHECK * tol, trace)
+    bound = state.cache.score_bound(params.alpha)
+    checks = 0
     while True:
-        order = top_k_order(reserve, k + 1)
-        if k >= graph.n:
-            gap = math.inf
-        else:
-            gap = float(reserve[order[k - 1]]
-                        - (reserve[order[k]] + state.r_sum))
-        if gap > 0 or refinements == MAX_REFINEMENTS or state.r_sum == 0:
+        check = _certify(state, bound, k, eps, delta)
+        checks += 1
+        if check.passed or state.r_sum <= floor:
             break
-        tol /= REFINE_FACTOR
-        state.drain(tol, trace, TOPK_PHASE)
-        refinements += 1
-    order = order[:k]
-    values = reserve[order]
-    trace.note(topk_separated=bool(gap > 0), topk_gap=gap,
-               topk_refinements=refinements)
+        # Each target is below r_sum, so each drain runs a sweep; one
+        # sweep already takes r_sum to (1 - alpha) * r_sum or below.
+        rho = min(max(check.rho, 1.0 / MAX_STEP), 1.0 - params.alpha)
+        state.drain(max(state.r_sum * rho, floor), trace, TOPK_PHASE)
+    order = check.order
+    values = state.reserve[order]
+    trace.note(topk_separated=check.passed, topk_gap=check.gap,
+               topk_checks=checks, topk_sweeps=state.sweeps)
     return TopKAnswer(
         source=int(source), k=k, nodes=order, values=values,
-        lower=values.copy(), upper=values + state.r_sum,
-        separated=bool(gap > 0), path="topk", bound_gap=gap,
-        bound_width=state.r_sum, alpha=params.alpha, walks_used=0,
-        pushes=state.stats.pushes, rounds=1 + refinements,
-        r_sum=state.r_sum,
-        extras={"tol": tol, "sweeps": state.sweeps,
-                "refinements": refinements},
+        lower=values.copy(), upper=check.upper[order],
+        separated=check.passed,
+        path="topk", bound_gap=check.gap, bound_width=state.r_sum,
+        alpha=params.alpha, walks_used=0, pushes=state.stats.pushes,
+        rounds=checks, r_sum=state.r_sum,
+        extras={"sweeps": state.sweeps, "checks": checks},
     )
 
 
@@ -176,19 +242,20 @@ def answer_top_k(graph, source, k, *, params=None, accuracy=None, seed=0,
 
     ``mode``:
 
-    * ``"auto"`` (default) -- the PowerPush envelope, refined until the
-      set is certified or :data:`MAX_REFINEMENTS` is reached
-      (``path="topk"``).  Deterministic: ``seed`` is accepted and
-      ignored, so the answer is a pure function of ``(graph, source, k,
-      accuracy)`` and byte-identical across engines and workers.
+    * ``"auto"`` (default) -- the PowerPush envelope, swept until the
+      set is certified or the tie floor is reached (``path="topk"``).
+      Deterministic: ``seed`` is accepted and ignored, so the answer is
+      a pure function of ``(graph, source, k, accuracy)`` and
+      byte-identical across engines and workers.
     * ``"full"`` -- a full ResAcc solve with ``seed``, answered through
       :func:`answer_from_result` (``path="full"``).
 
     ``k`` must be ``>= 1`` and is clamped to ``n``.  ``trace`` is an
     optional :class:`repro.obs.QueryTrace` (or a deadline proxy): the
     envelope records ``localpush`` / ``power`` phases plus one
-    ``"topk_refine"`` phase per refinement, and notes ``topk_separated``
-    / ``topk_gap`` / ``topk_refinements``.
+    ``"topk_refine"`` phase per drain between two certificate checks,
+    and notes ``topk_separated`` / ``topk_gap`` / ``topk_checks`` /
+    ``topk_sweeps``.
     """
     k = int(k)
     if k < 1:

@@ -14,7 +14,8 @@ Two kinds of caller use them:
 * bulk edits (:func:`add_edges`, :func:`delete_edges`,
   :func:`delete_nodes`, :func:`rewire_random_edges`) that rebuild the
   CSR arrays in O(n + m) -- the Fig. 23 node-deletion experiment
-  (:mod:`repro.bench.appendix`) and the examples use these.
+  (:mod:`repro.bench.appendix`) and the examples use these;
+  :func:`delete_nodes` filters the arrays in place of a rebuild.
 """
 
 from __future__ import annotations
@@ -121,23 +122,33 @@ def delete_nodes(graph, nodes, *, relabel=False):
     engines' ``remove_node`` need.  With ``relabel=True`` the survivors
     are compacted to ``0 .. n-k-1`` and the id mapping is returned as a
     second value.
+
+    Filters ``indices`` with a keep-mask and recounts ``indptr``: the
+    surviving entries keep their row order (relabelling is monotone),
+    so no re-sort is needed, and on a row-sorted deduplicated graph the
+    result is byte-identical to a :func:`from_edges` rebuild of the
+    surviving edges.  Parallel edges survive as they are.
     """
     doomed = np.zeros(graph.n, dtype=bool)
     node_arr = np.asarray(list(nodes), dtype=np.int64)
     if node_arr.size and (node_arr.min() < 0 or node_arr.max() >= graph.n):
         raise GraphFormatError("node id out of range")
     doomed[node_arr] = True
-    edges = graph.edge_array()
-    keep = ~(doomed[edges[:, 0]] | doomed[edges[:, 1]])
-    kept_edges = edges[keep]
+    keep = ~(np.repeat(doomed, graph.out_degrees) | doomed[graph.indices])
+    indices = graph.indices[keep]
+    kept_before = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
     if not relabel:
-        return from_edges(graph.n, kept_edges, dangling=graph.dangling)
+        return CSRGraph(graph.n, kept_before[graph.indptr], indices,
+                        dangling=graph.dangling, validate=False)
     survivors = np.flatnonzero(~doomed)
     old_to_new = -np.ones(graph.n, dtype=np.int64)
     old_to_new[survivors] = np.arange(survivors.size)
-    remapped = old_to_new[kept_edges]
+    indptr = np.zeros(survivors.size + 1, dtype=np.int64)
+    indptr[1:] = kept_before[graph.indptr[survivors + 1]]
     return (
-        from_edges(survivors.size, remapped, dangling=graph.dangling),
+        CSRGraph(survivors.size, indptr, old_to_new[indices],
+                 dangling=graph.dangling, validate=False),
         survivors,
     )
 

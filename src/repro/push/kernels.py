@@ -125,7 +125,7 @@ class SnapshotPushCache:
 
     __slots__ = ("_graph", "_lock", "_thresholds", "_transpose",
                  "_share_pool", "_marker_pool", "_block_pool",
-                 "_power_ops")
+                 "_power_ops", "_score_bounds")
 
     def __init__(self, graph):
         self._graph = graph
@@ -136,6 +136,7 @@ class SnapshotPushCache:
         self._marker_pool = []
         self._block_pool = []
         self._power_ops = OrderedDict()
+        self._score_bounds = OrderedDict()
 
     def thresholds(self, r_max):
         """Read-only per-node threshold vector for one ``r_max``.
@@ -204,6 +205,51 @@ class SnapshotPushCache:
                 self._power_ops.popitem(last=False)
         return ops
 
+    def score_bound(self, alpha):
+        """Read-only per-node cap ``b`` with ``pi(v, t) <= b[t]`` for
+        every ``v != t`` (the top-k certificate's outsider bound).
+
+        From ``pi(v, t) = (1-alpha) sum_{u in N_in(t)} pi(v, u) c(u, t)
+        / d(u)`` and ``sum_u pi(v, u) <= 1``: ``b[t]`` is the largest
+        entry of row ``t`` of :meth:`power_operator` once duplicate
+        ``(u, t)`` entries are summed into the multiplicity ``c(u, t)``.
+        An absorbing dangling ``t`` keeps every unit that reaches it,
+        not ``alpha`` of it, so its cap is ``min(1, b[t] / alpha)``.
+        Under ``"restart"`` the source's own cap is 1; that per-query
+        entry is the caller's to apply.  Built in O(m) on first use,
+        cached per ``alpha`` (see ``docs/topk.md``).
+        """
+        key = float(alpha)
+        with self._lock:
+            vec = self._score_bounds.get(key)
+            if vec is not None:
+                self._score_bounds.move_to_end(key)
+                return vec
+        indptr, indices, data = self.power_operator(key)
+        graph = self._graph
+        vec = np.zeros(graph.n, dtype=np.float64)
+        if data.size:
+            # Rows list their sources in ascending order, so duplicate
+            # (u, t) entries sit next to each other within a row.
+            first = np.ones(data.size, dtype=bool)
+            first[1:] = indices[1:] != indices[:-1]
+            rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+            first[indptr[rows]] = True
+            starts = np.flatnonzero(first)
+            sums = np.add.reduceat(data, starts)
+            row_groups = np.searchsorted(starts, indptr[rows])
+            vec[rows] = np.maximum.reduceat(sums, row_groups)
+        if graph.dangling == "absorb":
+            dangling = graph.out_degrees == 0
+            vec[dangling] = np.minimum(1.0, vec[dangling] / key)
+        vec.flags.writeable = False
+        with self._lock:
+            self._score_bounds[key] = vec
+            self._score_bounds.move_to_end(key)
+            while len(self._score_bounds) > _THRESHOLD_CACHE_SIZE:
+                self._score_bounds.popitem(last=False)
+        return vec
+
     def lease_share(self):
         """Borrow an all-zeros float64 scratch vector of length ``n``.
 
@@ -264,6 +310,7 @@ class SnapshotPushCache:
             self._marker_pool.clear()
             self._block_pool.clear()
             self._power_ops.clear()
+            self._score_bounds.clear()
 
 
 def get_push_cache(graph):

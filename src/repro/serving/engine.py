@@ -709,8 +709,9 @@ class ConcurrentQueryEngine:
         :meth:`query` would return (``path="full"``).
 
         A ``deadline`` is enforced at every solver phase boundary --
-        including each envelope refinement -- and expiry raises
-        :class:`repro.errors.DeadlineExceededError`, freeing the worker.
+        including each drain between certificate checks -- and expiry
+        raises :class:`repro.errors.DeadlineExceededError`, freeing the
+        worker.
         """
         k = self._check_topk(k, mode)
         if mode == "full":

@@ -197,6 +197,11 @@ class TestTopKBenchmark:
         assert doc["disagreements"] == []
         for entry in doc["per_source"]:
             assert entry["agree"] is (True if entry["separated"] else None)
+            assert entry["checks"] >= 1
+        assert doc["median_sweeps"] == np.median(
+            [entry["sweeps"] for entry in doc["per_source"]])
+        assert doc["median_checks"] == np.median(
+            [entry["checks"] for entry in doc["per_source"]])
 
     def test_cli_topk_parser_defaults(self):
         args = build_parser().parse_args(["topk", "dblp"])
@@ -248,6 +253,30 @@ class TestDynamicBenchmark:
         assert 0.0 < doc["retention_rate"] <= 1.0
         assert doc["p95_ratio_vs_read_only"] > 0
         assert doc["retained_within_contract"] is True
+        checks = doc["contract_checks"]
+        assert checks and all(entry["passed"] for entry in checks)
+        for entry in checks:
+            assert 0.0 <= entry["worst"] <= 1.0
+            assert isinstance(entry["retained"], bool)
+        assert any(entry["retained"] for entry in checks)
+
+    def test_contract_check_names_the_failing_entry(self, graph):
+        from repro.bench.harness import _check_cached_contracts
+        from repro.serving import ConcurrentQueryEngine
+
+        accuracy = AccuracyParams.paper_defaults(graph.n)
+        with ConcurrentQueryEngine(graph, accuracy=accuracy, seed=0,
+                                   incremental=True,
+                                   solve_margin=0.5) as svc:
+            svc.query(5).estimates[:] *= 3.0    # corrupt the cached answer
+            ok, entries = _check_cached_contracts(svc, accuracy)
+        assert ok is False
+        [entry] = entries
+        assert entry["source"] == 5
+        assert entry["passed"] is False
+        assert entry["worst"] > 1.0
+        assert entry["retained"] is False       # solved on this snapshot
+        assert entry["eps_bound"] == accuracy.eps * 0.5
 
     def test_cli_dynamic_parser_defaults(self):
         args = build_parser().parse_args(["dynamic", "dblp"])

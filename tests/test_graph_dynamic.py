@@ -162,6 +162,51 @@ class TestEmptyUpdates:
         assert g2.m == g.m
 
 
+class TestDeleteNodesFilter:
+    """``delete_nodes`` filters the CSR arrays instead of rebuilding;
+    on a ``from_edges`` graph the bytes match the rebuild exactly."""
+
+    @staticmethod
+    def _rebuild(g, doomed, relabel):
+        edges = g.edge_array()
+        gone = np.zeros(g.n, dtype=bool)
+        gone[list(doomed)] = True
+        edges = edges[~(gone[edges[:, 0]] | gone[edges[:, 1]])]
+        if not relabel:
+            return from_edges(g.n, edges, dangling=g.dangling)
+        survivors = np.flatnonzero(~gone)
+        old_to_new = -np.ones(g.n, dtype=np.int64)
+        old_to_new[survivors] = np.arange(survivors.size)
+        return from_edges(survivors.size, old_to_new[edges],
+                          dangling=g.dangling)
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_byte_identical_to_from_edges_rebuild(self, seed, relabel):
+        rng = np.random.default_rng(seed)
+        g = generators.directed_power_law(
+            80, 4, seed=seed, dangling=("absorb", "restart")[seed % 2])
+        for count in (1, 3, 17):
+            doomed = rng.choice(g.n, size=count, replace=False).tolist()
+            got = delete_nodes(g, doomed, relabel=relabel)
+            if relabel:
+                got, survivors = got
+                assert survivors.tolist() == sorted(
+                    set(range(g.n)) - set(doomed))
+            want = self._rebuild(g, doomed, relabel)
+            assert got.n == want.n
+            assert got.dangling == want.dangling
+            assert got.indptr.dtype == want.indptr.dtype
+            assert got.indices.dtype == want.indices.dtype
+            assert got.indptr.tobytes() == want.indptr.tobytes()
+            assert got.indices.tobytes() == want.indices.tobytes()
+
+    def test_keeps_parallel_edges(self):
+        g = delete_nodes(multigraph(), [0])
+        assert g.indptr.tolist() == [0, 0, 3, 3]
+        assert g.indices.tolist() == [2, 2, 2]
+
+
 class TestGrowthAndRelabel:
     def test_add_edges_grow_extends_node_count(self):
         g = from_edges(3, [(0, 1), (1, 2)])

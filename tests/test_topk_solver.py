@@ -4,11 +4,14 @@ The contract under test (``docs/topk.md``), checked against an exact
 oracle -- :class:`ExactSolver` under the ``absorb`` dangling policy,
 ``power_iteration(tol=1e-12)`` under ``restart``:
 
-* the envelope holds: every returned node's exact score lies in
-  ``[lower, upper]`` (``lower = reserve``, ``upper = reserve + r_sum``,
-  the push invariant of Eq. 2);
+* the envelope holds: every node's exact score lies in ``[reserve,
+  upper]`` at every certificate check (``upper = reserve + residue +
+  (r_sum - residue) * b``, the push invariant of Eq. 2 with the
+  per-node cap ``b``), and the returned ``lower = values = reserve``;
 * ``separated`` is true exactly when ``bound_gap > 0``, and then the
   node *set* equals the exact top-k set;
+* every returned value meets Definition 1 from its own bounds,
+  ``upper - lower <= eps * max(lower, delta)``;
 * answers are pure functions of ``(graph, source, k, accuracy)`` --
   repeated calls are byte-identical and ``seed`` is ignored;
 * ties are broken by ascending node id everywhere
@@ -84,6 +87,12 @@ def _oracle(graph_name):
     return graph, exact
 
 
+def _definition1_slack(values, accuracy):
+    """``eps * max(value, delta)`` per value, plus float rounding."""
+    slack = accuracy.eps * np.maximum(values, accuracy.delta)
+    return slack * (1 + 1e-12) + 1e-15
+
+
 def _answer(graph, k, accuracy_name, **kwargs):
     accuracy = ACCURACIES[accuracy_name](graph.n)
     return answer_top_k(graph, SOURCE, k, accuracy=accuracy, **kwargs)
@@ -117,12 +126,13 @@ class TestTopKProperties:
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_bounds_contain_exact_scores(self, graph_name, k):
-        """lower <= pi(s, v) <= upper on every returned node, with the
-        deterministic meaning lower = value = reserve, upper - lower =
-        bound_width = r_sum."""
+        """lower <= pi(s, v) <= upper on every returned node, with lower
+        = value = reserve, upper - lower <= bound_width = r_sum, and
+        upper - lower within Definition 1 of the value."""
         graph, exact = _oracle(graph_name)
         for accuracy_name in sorted(ACCURACIES):
             answer = _answer(graph, k, accuracy_name)
+            accuracy = ACCURACIES[accuracy_name](graph.n)
             truth = exact[answer.nodes]
             assert np.all(answer.lower - 1e-12 <= truth), (
                 f"{graph_name}/k={k}/{accuracy_name}: lower bound above "
@@ -134,8 +144,11 @@ class TestTopKProperties:
             )
             assert answer.lower.tobytes() == answer.values.tobytes()
             assert answer.bound_width == answer.r_sum
-            np.testing.assert_allclose(answer.upper - answer.lower,
-                                       answer.r_sum, rtol=0, atol=1e-15)
+            width = answer.upper - answer.lower
+            assert np.all(width >= 0)
+            assert np.all(width <= answer.r_sum + 1e-15)
+            assert np.all(width <= _definition1_slack(answer.lower,
+                                                      accuracy))
             assert answer.walks_used == 0
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -172,9 +185,12 @@ class TestTopKAnswer:
         accuracy = ACCURACIES["tight-eps"](graph.n)
         answer = answer_top_k(graph, 0, 1, accuracy=accuracy)
         assert answer.pushes > 0
-        assert answer.rounds >= 1
+        assert answer.rounds == answer.extras["checks"] >= 1
+        assert answer.extras["sweeps"] >= 0
         assert answer.walks_used == 0
-        assert 0.0 <= answer.bound_width <= accuracy.eps * accuracy.delta
+        assert answer.bound_width == answer.r_sum >= 0.0
+        width = answer.upper - answer.lower
+        assert np.all(width <= _definition1_slack(answer.lower, accuracy))
 
     def test_tuple_unpacking_back_compat(self):
         graph = GRAPHS["grid"]()
@@ -246,3 +262,151 @@ class TestTieBreaking:
         assert answer.bound_gap <= 0
         truth = exact[answer.nodes]
         assert np.all(np.abs(truth - answer.values) <= accuracy.eps * truth)
+
+
+# ----------------------------------------------------------------------
+# The certificate contract, checked at every certificate check
+# ----------------------------------------------------------------------
+def _dangling_next_to_source(dangling):
+    """Source 0 points at two dangling nodes (1, 2) and into a small
+    cycle whose nodes also feed the dangling ones, so mass revisits the
+    dangling nodes' in-neighbours before it is absorbed (or, under
+    ``restart``, sent back to the source)."""
+    edges = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 3), (3, 1), (4, 2),
+             (4, 5), (5, 6), (6, 3), (5, 0), (7, 0), (7, 3), (8, 7),
+             (6, 8), (9, 4), (8, 9)]
+    return from_edges(10, edges, dangling=dangling)
+
+
+def _restart_star():
+    """Nothing points at source 0 and all its out-neighbours are
+    dangling: under ``restart`` every unit of mass comes back to the
+    source through dangling nodes, not through an in-edge."""
+    return from_edges(6, [(0, v) for v in range(1, 6)], dangling="restart")
+
+
+def _duplicate_csr(dangling):
+    """A directly built :class:`CSRGraph` with repeated ``(u, t)``
+    entries (multiplicity 2 and 3), which ``from_edges`` would collapse."""
+    from repro.graph import CSRGraph
+
+    rows = [[1, 1, 2], [2, 2, 2, 3], [0, 3], [4, 4, 0], [5, 0],
+            [], [4, 4, 5, 5, 0]]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(r) for r in rows])
+    indices = np.asarray([v for r in rows for v in r], dtype=np.int64)
+    return CSRGraph(len(rows), indptr, indices, dangling=dangling)
+
+
+CONTRACT_GRAPHS = {
+    "absorb-dangling": lambda: _dangling_next_to_source("absorb"),
+    "restart-dangling": lambda: _dangling_next_to_source("restart"),
+    "restart-star": _restart_star,
+    "duplicate-csr-absorb": lambda: _duplicate_csr("absorb"),
+    "duplicate-csr-restart": lambda: _duplicate_csr("restart"),
+    "ba": GRAPHS["ba"],
+    "dangling": GRAPHS["dangling"],
+}
+
+
+def _exact_scores(graph, source):
+    if graph.dangling == "absorb":
+        return ExactSolver(graph).query(source).estimates
+    return power_iteration(graph, source, tol=1e-14).estimates
+
+
+class TestTopKContract:
+    """The envelope's advertised contract against an exact oracle, at
+    every certificate check and for every node -- not only the nodes
+    an answer returns."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("graph_name", sorted(CONTRACT_GRAPHS))
+    def test_every_check_brackets_every_node(self, monkeypatch, graph_name,
+                                             k, eps):
+        import repro.core.topk_solver as topk_solver
+
+        graph = CONTRACT_GRAPHS[graph_name]()
+        source = 0
+        exact = _exact_scores(graph, source)
+        checks = []
+        certify = topk_solver._certify
+
+        def recording(state, bound, *args):
+            reserve = state.reserve.copy()
+            check = certify(state, bound, *args)
+            checks.append((reserve, check.upper.copy(), check))
+            return check
+
+        monkeypatch.setattr(topk_solver, "_certify", recording)
+        accuracy = AccuracyParams(eps=eps, delta=1.0 / graph.n, p_f=0.1)
+        answer = answer_top_k(graph, source, k, accuracy=accuracy)
+
+        assert len(checks) == answer.rounds >= 1
+        for i, (reserve, upper, _) in enumerate(checks):
+            assert np.all(reserve <= exact + 1e-12), (
+                f"{graph_name}: reserve above pi at check {i}")
+            assert np.all(exact <= upper + 1e-12), (
+                f"{graph_name}: upper below pi at check {i}, nodes "
+                f"{np.flatnonzero(exact > upper + 1e-12).tolist()}")
+        reserve, upper, last = checks[-1]
+        assert answer.nodes.tobytes() == last.order.tobytes()
+        assert answer.values.tobytes() == reserve[answer.nodes].tobytes()
+        assert answer.upper.tobytes() == upper[answer.nodes].tobytes()
+        assert answer.separated == (answer.bound_gap > 0)
+        if answer.separated:
+            want = set(top_k_order(exact, answer.k).tolist())
+            assert set(answer.nodes.tolist()) == want
+            if answer.k < graph.n:
+                outside = np.ones(graph.n, dtype=bool)
+                outside[answer.nodes] = False
+                assert answer.values.min() > upper[outside].max()
+        # Definition 1 for every returned value, separated or not.
+        width = answer.upper - answer.values
+        assert np.all(width <= _definition1_slack(answer.values, accuracy))
+        truth = exact[answer.nodes]
+        assert np.all(truth - answer.values
+                      <= eps * np.maximum(truth, accuracy.delta) + 1e-12)
+
+    @pytest.mark.parametrize("graph_name", ["absorb-dangling",
+                                            "duplicate-csr-absorb", "ba"])
+    def test_score_bound_caps_every_pair(self, graph_name):
+        """pi(v, t) <= b[t] for every v != t (absorb: one exact solve
+        per source)."""
+        from repro.push.kernels import get_push_cache
+
+        graph = CONTRACT_GRAPHS[graph_name]()
+        bound = get_push_cache(graph).score_bound(0.2)
+        assert not bound.flags.writeable
+        solver = ExactSolver(graph)
+        for v in range(graph.n):
+            pi = solver.query(v).estimates.copy()
+            pi[v] = 0.0
+            assert np.all(pi <= bound + 1e-12), (
+                f"{graph_name}: pi({v}, t) above b(t) at "
+                f"{np.flatnonzero(pi > bound + 1e-12).tolist()}")
+
+    def test_score_bound_sums_duplicates_and_caps_dangling(self):
+        from repro.push.kernels import get_push_cache
+
+        graph = _duplicate_csr("absorb")
+        bound = get_push_cache(graph).score_bound(0.2)
+        # Row 2 of the transpose: u=0 (c=1, d=3), u=1 (c=3, d=4).
+        assert bound[2] == pytest.approx(0.8 * 3 / 4)
+        # Node 4: u=3 (c=2, d=3) and u=6 (c=2, d=5).
+        assert bound[4] == pytest.approx(0.8 * 2 / 3)
+        # Node 5 is dangling: min(1, (1-a)/a * max(1/2, 2/5)) = 1.
+        assert bound[5] == 1.0
+        restart = get_push_cache(_duplicate_csr("restart")).score_bound(0.2)
+        assert restart[5] == pytest.approx(0.8 * 1 / 2)
+
+    def test_write_releases_score_bound(self):
+        from repro.push.kernels import get_push_cache, release_push_cache
+
+        graph = GRAPHS["ba"]()
+        cache = get_push_cache(graph)
+        first = cache.score_bound(0.2)
+        assert cache.score_bound(0.2) is first
+        release_push_cache(graph)
+        assert cache.score_bound(0.2) is not first
