@@ -29,10 +29,8 @@ from pathlib import Path
 #: higher-is-better.  Paths are dotted keys into the JSON document.
 KNOWN_METRICS = {
     "repro-serving-bench": ("speedup", "unique_workload.speedup"),
-    "repro-http-bench": ("qps",),
     "repro-push-bench": ("speedup",),
     "repro-powerpush-bench": ("speedup",),
-    "repro-topk-bench": ("speedup",),
     # Latency ratios are too jittery for the 15%-drop gate;
     # retention is the deterministic headline.
     "repro-dynamic-bench": ("retention_rate",),

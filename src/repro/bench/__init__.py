@@ -5,18 +5,15 @@ from repro.bench.experiments import MAIN_EXPERIMENTS
 from repro.bench.extensions import EXTENSION_EXPERIMENTS
 from repro.bench.harness import (
     DYNAMIC_BENCH_KIND,
-    HTTP_BENCH_KIND,
     POWERPUSH_BENCH_KIND,
     PUSH_BENCH_KIND,
     SCALE_BENCH_KIND,
     SERVING_BENCH_KIND,
-    TOPK_BENCH_KIND,
     BenchConfig,
     GroundTruthCache,
     SolverRun,
     dynamic_benchmark,
     export_suite_traces,
-    http_benchmark,
     powerpush_benchmark,
     push_benchmark,
     run_suite,
@@ -24,7 +21,6 @@ from repro.bench.harness import (
     serving_benchmark,
     suite_traces,
     timed,
-    topk_benchmark,
     traced_solver,
     truths_for,
     write_random_edges,
@@ -42,7 +38,6 @@ __all__ = [
     "DYNAMIC_BENCH_KIND",
     "EXTENSION_EXPERIMENTS",
     "GroundTruthCache",
-    "HTTP_BENCH_KIND",
     "MAIN_EXPERIMENTS",
     "POWERPUSH_BENCH_KIND",
     "PUSH_BENCH_KIND",
@@ -50,11 +45,9 @@ __all__ = [
     "SERVING_BENCH_KIND",
     "Series",
     "SolverRun",
-    "TOPK_BENCH_KIND",
     "Table",
     "dynamic_benchmark",
     "export_suite_traces",
-    "http_benchmark",
     "powerpush_benchmark",
     "push_benchmark",
     "render_all",
@@ -63,7 +56,6 @@ __all__ = [
     "serving_benchmark",
     "suite_traces",
     "timed",
-    "topk_benchmark",
     "traced_solver",
     "truths_for",
     "write_random_edges",

@@ -606,265 +606,6 @@ def serving_benchmark(graph, *, num_unique=8, repeat=3, num_workers=4,
     }
 
 
-HTTP_BENCH_KIND = "repro-http-bench"
-
-
-def http_benchmark(graph, *, num_unique=8, repeat=4, concurrency=4,
-                   accuracy=None, seed=0, cache_size=256, num_workers=4,
-                   max_inflight=64, rate_limit=None,
-                   deadline_ms=120_000.0):
-    """End-to-end HTTP serving benchmark over a loopback socket.
-
-    Boots an :class:`repro.server.SSRWRServer` on an ephemeral loopback
-    port and drives it with ``concurrency`` clients (one
-    :class:`repro.server.ServerClient` per thread, the honest model of
-    independent network clients) over the same hot workload
-    :func:`serving_benchmark` uses: ``num_unique`` sources requested
-    ``repeat`` times each.  Requests shed by admission control (503) or
-    rate-limited (429) are retried after the server's ``Retry-After``
-    hint -- sheds are counted, not lost, so the byte-identity check
-    still covers every request position.
-
-    Reports throughput (``qps``), request latency percentiles
-    (``p50_seconds`` / ``p95_seconds``), the shed rate, and whether
-    every HTTP answer was value-identical (to float64 precision, after
-    the JSON round trip) to a sequential :class:`repro.service.QueryEngine`
-    loop.  Returns a JSON-safe dict (``kind = "repro-http-bench"``)
-    mirroring ``BENCH_serving.json`` conventions.
-    """
-    import queue as queue_mod
-    import threading
-
-    from repro.server import ServerClient, ServerConfig, ServerError, \
-        start_in_thread
-    from repro.service import QueryEngine
-    from repro.serving import ConcurrentQueryEngine
-
-    accuracy = accuracy or AccuracyParams.paper_defaults(graph.n)
-    unique = [int(s) for s in random_seeds(graph, num_unique, seed=seed)]
-    requests = [s for _ in range(repeat) for s in unique]
-
-    # Sequential reference (same per-source seeds the engine derives).
-    reference_engine = QueryEngine(graph, accuracy=accuracy, cache_size=0,
-                                   seed=seed)
-    expected = {s: reference_engine.query(s).estimates.tobytes()
-                for s in unique}
-
-    engine = ConcurrentQueryEngine(
-        graph, accuracy=accuracy, seed=seed, cache_size=cache_size,
-        max_workers=num_workers,
-    )
-    config = ServerConfig(port=0, max_inflight=max_inflight,
-                          rate_limit=rate_limit,
-                          default_deadline_ms=deadline_ms)
-    handle = start_in_thread(engine, config)
-
-    work = queue_mod.Queue()
-    for index, source in enumerate(requests):
-        work.put((index, source))
-    latencies = [None] * len(requests)
-    identical = [False] * len(requests)
-    sheds = [0]
-    rate_limited = [0]
-    failures = []
-    lock = threading.Lock()
-
-    def drive(worker_id):
-        client = ServerClient(base_url=handle.url,
-                              client_id=f"bench-{worker_id}")
-        try:
-            while True:
-                try:
-                    index, source = work.get_nowait()
-                except queue_mod.Empty:
-                    return
-                tic = time.perf_counter()
-                while True:
-                    try:
-                        doc = client.query(source)
-                        break
-                    except ServerError as exc:
-                        if exc.status not in (429, 503):
-                            with lock:
-                                failures.append(
-                                    f"source {source}: {exc}"
-                                )
-                            return
-                        with lock:
-                            if exc.status == 503:
-                                sheds[0] += 1
-                            else:
-                                rate_limited[0] += 1
-                        time.sleep(float(exc.retry_after or 1) / 20.0)
-                latencies[index] = time.perf_counter() - tic
-                got = np.asarray(doc["estimates"], dtype=np.float64)
-                identical[index] = got.tobytes() == expected[source]
-        finally:
-            client.close()
-
-    # Warm the kernels once so the timed run measures steady state.
-    with ServerClient(base_url=handle.url, client_id="warm") as warm:
-        warm.query(unique[0])
-    engine.flush_cache()
-
-    tic = time.perf_counter()
-    threads = [threading.Thread(target=drive, args=(i,), daemon=True)
-               for i in range(concurrency)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - tic
-
-    metrics_snapshot = handle.server.metrics.snapshot()
-    engine_stats = {
-        "queries": engine.stats.queries,
-        "cache_hits": engine.stats.cache_hits,
-        "cache_misses": engine.stats.cache_misses,
-        "coalesced": engine.stats.coalesced,
-        "solver_calls": engine.stats.solver_calls,
-        "deadline_exceeded": engine.stats.deadline_exceeded,
-    }
-    handle.stop()
-
-    answered = [lat for lat in latencies if lat is not None]
-    arr = np.asarray(answered, dtype=np.float64)
-    attempts = len(requests) + sheds[0] + rate_limited[0]
-    return {
-        "kind": HTTP_BENCH_KIND,
-        "graph": {"n": graph.n, "m": graph.m},
-        "accuracy": {"eps": accuracy.eps, "delta": accuracy.delta,
-                     "p_f": accuracy.p_f},
-        "workload": {
-            "requests": len(requests),
-            "unique_sources": len(unique),
-            "repeat": repeat,
-            "sources": unique,
-            "seed": seed,
-        },
-        "concurrency": concurrency,
-        "workers": num_workers,
-        "max_inflight": max_inflight,
-        "rate_limit": rate_limit,
-        "wall_seconds": wall,
-        "qps": len(answered) / wall if wall > 0 else float("inf"),
-        "answered": len(answered),
-        "failures": failures,
-        "latency": {
-            "p50_seconds": float(np.percentile(arr, 50)) if answered else None,
-            "p95_seconds": float(np.percentile(arr, 95)) if answered else None,
-            "mean_seconds": float(arr.mean()) if answered else None,
-        },
-        "shed_total": sheds[0],
-        "rate_limited_total": rate_limited[0],
-        "shed_rate": sheds[0] / attempts if attempts else 0.0,
-        "byte_identical": bool(answered) and not failures
-        and all(identical),
-        "server_metrics": metrics_snapshot,
-        "engine_stats": engine_stats,
-    }
-
-
-#: File-format marker written by :func:`topk_benchmark` consumers
-#: (``repro-bench topk --json``).
-TOPK_BENCH_KIND = "repro-topk-bench"
-
-
-def topk_benchmark(graph, *, k=4, num_sources=20, eps=0.05, seed=0,
-                   delta_scale=1.0):
-    """The top-k envelope vs. the full ResAcc solve.
-
-    For ``num_sources`` deterministic random sources the benchmark
-    times two ways of answering "which ``k`` nodes have the largest
-    RWR score from ``s``":
-
-    * ``full`` -- :func:`repro.core.resacc.resacc` to the full
-      ``(eps, delta)`` guarantee, then ``result.top_k(k)``;
-    * ``fast`` -- :func:`repro.core.topk_solver.answer_top_k` in
-      ``auto`` mode: the PowerPush envelope, every sweep and certificate
-      check charged.
-
-    Correctness gate: on every source where the envelope certified its
-    set (``separated=True``) that set must exactly equal the
-    :class:`~repro.baselines.inverse.ExactSolver` top-k set
-    (``agreement``).  ``median_sweeps`` / ``median_checks`` are the
-    median power sweeps and certificate checks per envelope answer.
-
-    ``eps`` defaults to 0.05 rather than the paper's 0.5: the full
-    solve pays ``~1/eps**2`` walks, the envelope only
-    ``log(1/(eps * delta))`` power sweeps (see docs/topk.md).
-
-    Returns a JSON-safe dict (``kind = "repro-topk-bench"``).
-    """
-    from repro.baselines.inverse import ExactSolver
-    from repro.core.resacc import resacc
-    from repro.core.topk_solver import answer_top_k
-
-    accuracy = AccuracyParams.paper_defaults(
-        graph.n, eps=eps, delta_scale=delta_scale
-    )
-    sources = [int(s) for s in random_seeds(graph, num_sources, seed=seed)]
-    exact = ExactSolver(graph)
-
-    per_source = []
-    disagreements = []
-    full_total = 0.0
-    fast_total = 0.0
-    separated_count = 0
-    for source in sources:
-        _, full_seconds = timed(
-            resacc, graph, source, accuracy=accuracy, seed=seed + source,
-        )
-        answer, fast_seconds = timed(
-            answer_top_k, graph, source, k, accuracy=accuracy,
-        )
-        full_total += full_seconds
-        fast_total += fast_seconds
-        agree = None
-        if answer.separated:
-            separated_count += 1
-            want, _ = exact.query(source).top_k(k)
-            agree = set(answer.nodes.tolist()) == set(want.tolist())
-            if not agree:
-                disagreements.append(int(source))
-        per_source.append({
-            "source": int(source),
-            "full_seconds": full_seconds,
-            "fast_seconds": fast_seconds,
-            "separated": bool(answer.separated),
-            "sweeps": int(answer.extras["sweeps"]),
-            "checks": int(answer.extras["checks"]),
-            "pushes": int(answer.pushes),
-            "agree": agree,
-        })
-
-    return {
-        "kind": TOPK_BENCH_KIND,
-        "graph": {"n": graph.n, "m": graph.m},
-        "k": int(k),
-        "accuracy": {"eps": accuracy.eps, "delta": accuracy.delta,
-                     "p_f": accuracy.p_f},
-        "workload": {
-            "sources": sources,
-            "num_sources": len(sources),
-            "seed": seed,
-        },
-        "per_source": per_source,
-        "full_seconds": full_total,
-        "fast_seconds": fast_total,
-        "speedup": (full_total / fast_total
-                    if fast_total > 0 else float("inf")),
-        "median_sweeps": float(np.median(
-            [entry["sweeps"] for entry in per_source])),
-        "median_checks": float(np.median(
-            [entry["checks"] for entry in per_source])),
-        "separated_count": separated_count,
-        "unseparated_count": len(sources) - separated_count,
-        "disagreements": disagreements,
-        "agreement": not disagreements,
-    }
-
-
 DYNAMIC_BENCH_KIND = "repro-dynamic-bench"
 
 
@@ -922,6 +663,7 @@ def _run_dynamic_variant(graph, *, sources, rounds, write_every, site,
         latencies = []
         reads = writes = 0
         edge_present = False
+        snapshot = None
         tic = time.perf_counter()
         for _ in range(rounds):
             for source in sources:
@@ -935,6 +677,11 @@ def _run_dynamic_variant(graph, *, sources, rounds, write_every, site,
                         svc.add_edge(site, partner)
                     edge_present = not edge_present
                     writes += 1
+                    # A later write may evict every entry; the contract
+                    # check reads the cache as the last retaining write
+                    # left it.
+                    if svc.stats.extras["last_mutation"]["retained"]:
+                        snapshot = _cache_snapshot(svc)
                     time.sleep(grace)
         total = time.perf_counter() - tic
         stats = svc.stats
@@ -956,18 +703,30 @@ def _run_dynamic_variant(graph, *, sources, rounds, write_every, site,
         }
         contract_ok, checked = None, []
         if incremental and write_every > 0:
-            contract_ok, checked = _check_cached_contracts(svc, accuracy)
+            contract_ok, checked = _check_cached_contracts(
+                svc, accuracy, snapshot=snapshot)
         summary["retained_within_contract"] = contract_ok
         summary["contract_checks"] = checked
     return summary
 
 
-def _check_cached_contracts(svc, accuracy, *, sample=3):
-    """Check sampled cached answers against Definition 1 on the
-    *current* graph: ``|est - exact| <= eps * exact`` wherever
+def _cache_snapshot(svc):
+    """``(graph, entries, retained)``: the engine's graph snapshot, its
+    ``(key, answer, meta)`` query cache entries (LRU-first) and the
+    sources its last edit retained."""
+    last = svc.stats.extras.get("last_mutation") or {}
+    entries = [(key, value, svc._cache.get_meta(key))
+               for key, value in svc._cache.entries() if key[0] != "topk"]
+    return svc.graph, entries, set(last.get("retained_sources", ()))
+
+
+def _check_cached_contracts(svc, accuracy, *, sample=3, snapshot=None):
+    """Check sampled cached answers against Definition 1 on the graph
+    they are served for: ``|est - exact| <= eps * exact`` wherever
     ``exact > delta``.  Retained entries get here on the strength of
     their offset bound alone -- they were solved against an earlier
-    snapshot.
+    snapshot.  ``snapshot`` is a :func:`_cache_snapshot` taken earlier
+    (default: one taken now).
 
     Returns ``(ok, entries)``: ``ok`` is true when every sampled entry
     meets the contract (false when none was sampled), and ``entries``
@@ -975,20 +734,18 @@ def _check_cached_contracts(svc, accuracy, *, sample=3):
     ratio ``error / (eps * exact)`` over the heavy nodes, whether it
     was ``retained`` across the last edit or solved on the current
     snapshot, its tracked ``eps_bound`` and whether it ``passed``.
+    Entries retained across the last edit are sampled first; fresh
+    solves fill the rest of the sample.
     """
-    graph = svc.graph
-    last = svc.stats.extras.get("last_mutation") or {}
-    retained = set(last.get("retained_sources", ()))
-    entries = [(key, value) for key, value in svc._cache.entries()
-               if key[0] != "topk"][:sample]
+    graph, entries, retained = snapshot or _cache_snapshot(svc)
+    entries = sorted(entries, key=lambda entry: entry[0][0] not in retained)
     report = []
-    for key, result in entries:
+    for key, result, meta in entries[:sample]:
         source = int(key[0])
         exact = power_iteration(graph, source, tol=1e-12).estimates
         heavy = exact > accuracy.delta
         errors = np.abs(result.estimates[heavy] - exact[heavy])
         budget = accuracy.eps * exact[heavy]
-        meta = svc._cache.get_meta(key)
         report.append({
             "source": source,
             "worst": float((errors / budget).max()) if budget.size else 0.0,

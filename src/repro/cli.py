@@ -17,6 +17,7 @@ import sys
 import time
 
 from repro.bench import ALL_EXPERIMENTS, BenchConfig, render_all
+from repro.errors import ParameterError
 
 
 def build_parser():
@@ -84,32 +85,6 @@ def build_parser():
                                 "(cache-cold) speedup reaches this -- the "
                                 "parallelism-only gate for --engine "
                                 "multiproc")
-    http_cmd = sub.add_parser(
-        "serve-http",
-        help="benchmark the HTTP service end to end over loopback",
-    )
-    http_cmd.add_argument("dataset", help="dataset name from the catalog")
-    http_cmd.add_argument("--sources", type=int, default=8,
-                          help="number of distinct query sources")
-    http_cmd.add_argument("--repeat", type=int, default=4,
-                          help="requests per source (hot workload)")
-    http_cmd.add_argument("--concurrency", type=int, default=4,
-                          help="client threads driving the server")
-    http_cmd.add_argument("--workers", type=int, default=4,
-                          help="engine thread-pool width")
-    http_cmd.add_argument("--max-inflight", type=int, default=64,
-                          help="admission-control bound on pending work")
-    http_cmd.add_argument("--scale", type=float, default=1.0,
-                          help="dataset scale factor")
-    http_cmd.add_argument("--seed", type=int, default=0)
-    http_cmd.add_argument("--delta-scale", type=float, default=1.0,
-                          help="relax delta to this multiple of 1/n")
-    http_cmd.add_argument("--json", metavar="PATH", default=None,
-                          help="write the benchmark document "
-                               "(e.g. BENCH_http.json)")
-    http_cmd.add_argument("--min-qps", type=float, default=None,
-                          help="exit non-zero unless the measured "
-                               "queries/second reaches this")
     push_cmd = sub.add_parser(
         "push",
         help="benchmark the output-sensitive push kernels vs the seed loop",
@@ -152,29 +127,6 @@ def build_parser():
     pp_cmd.add_argument("--min-speedup", type=float, default=None,
                         help="exit non-zero unless the blocked-vs-loop "
                              "speedup reaches this")
-    topk_cmd = sub.add_parser(
-        "topk",
-        help="benchmark the top-k envelope vs. the full solve",
-    )
-    topk_cmd.add_argument("dataset", help="dataset name from the catalog")
-    topk_cmd.add_argument("--k", type=int, default=4,
-                          help="top-k set size (small k separates fastest)")
-    topk_cmd.add_argument("--sources", type=int, default=20,
-                          help="number of deterministic random sources")
-    topk_cmd.add_argument("--eps", type=float, default=0.05,
-                          help="relative accuracy of both paths "
-                               "(see docs/topk.md)")
-    topk_cmd.add_argument("--scale", type=float, default=1.0,
-                          help="dataset scale factor")
-    topk_cmd.add_argument("--seed", type=int, default=0)
-    topk_cmd.add_argument("--delta-scale", type=float, default=1.0,
-                          help="relax delta to this multiple of 1/n")
-    topk_cmd.add_argument("--json", metavar="PATH", default=None,
-                          help="write the benchmark document "
-                               "(e.g. BENCH_topk.json)")
-    topk_cmd.add_argument("--min-speedup", type=float, default=None,
-                          help="exit non-zero unless the envelope's "
-                               "speedup over the full solve reaches this")
     dyn_cmd = sub.add_parser(
         "dynamic",
         help="benchmark incremental cache retention under a mixed "
@@ -282,15 +234,17 @@ def main(argv=None):
     runner = {
         "query": _run_query,
         "serve-batch": _run_serve_batch,
-        "serve-http": _run_serve_http,
         "push": _run_push_bench,
         "powerpush": _run_powerpush_bench,
-        "topk": _run_topk_bench,
         "dynamic": _run_dynamic_bench,
         "scale": _run_scale_bench,
     }.get(args.command)
     if runner is not None:
-        return runner(args)
+        try:
+            return runner(args)
+        except ParameterError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     if args.command == "compare":
         from repro.bench.compare import compare_files
 
@@ -332,24 +286,15 @@ def _run_query(args):
     from repro.core.params import AccuracyParams
     from repro.core.resacc import resacc
     from repro.datasets import catalog
-    from repro.errors import ParameterError
     from repro.obs import QueryTrace, save_traces
 
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    graph = catalog.load(args.dataset, scale=args.scale)
     accuracy = AccuracyParams.paper_defaults(
         graph.n, delta_scale=args.delta_scale
     )
     trace = QueryTrace() if (args.trace or args.trace_json) else None
-    try:
-        result = resacc(graph, args.source, accuracy=accuracy,
-                        seed=args.seed, trace=trace)
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = resacc(graph, args.source, accuracy=accuracy,
+                    seed=args.seed, trace=trace)
     nodes, values = result.top_k(args.top)
     print(f"{args.dataset} (n={graph.n}, m={graph.m}) "
           f"source={args.source} seed={args.seed}")
@@ -367,26 +312,19 @@ def _run_query(args):
 
 
 def _run_serve_batch(args):
-    import json
-
     from repro.bench.harness import serving_benchmark
     from repro.core.params import AccuracyParams
     from repro.datasets import catalog
-    from repro.errors import ParameterError
 
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-        accuracy = AccuracyParams.paper_defaults(
-            graph.n, delta_scale=args.delta_scale
-        )
-        doc = serving_benchmark(
-            graph, num_unique=args.sources, repeat=args.repeat,
-            num_workers=args.workers, accuracy=accuracy, seed=args.seed,
-            engine=args.engine,
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    graph = catalog.load(args.dataset, scale=args.scale)
+    accuracy = AccuracyParams.paper_defaults(
+        graph.n, delta_scale=args.delta_scale
+    )
+    doc = serving_benchmark(
+        graph, num_unique=args.sources, repeat=args.repeat,
+        num_workers=args.workers, accuracy=accuracy, seed=args.seed,
+        engine=args.engine,
+    )
     workload = doc["workload"]
     print(f"{args.dataset} (n={graph.n}, m={graph.m})  "
           f"{workload['requests']} requests over "
@@ -401,109 +339,25 @@ def _run_serve_batch(args):
           f"{doc['unique_workload']['speedup']:.2f}x "
           f"(parallelism only, no reuse)")
     print(f"  byte-identical to sequential: {doc['byte_identical']}")
-    if args.json:
-        from pathlib import Path
-
-        from repro.obs.export import _json_safe
-
-        path = Path(args.json)
-        path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
-                        encoding="utf-8")
-        print(f"  written to {path}")
-    if not doc["byte_identical"]:
-        print("batched results diverge from the sequential loop",
-              file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and doc["speedup"] < args.min_speedup:
-        print(f"speedup {doc['speedup']:.2f}x below required "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    unique_speedup = doc["unique_workload"]["speedup"]
-    if (args.min_unique_speedup is not None
-            and unique_speedup < args.min_unique_speedup):
-        print(f"unique-source speedup {unique_speedup:.2f}x below required "
-              f"{args.min_unique_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_serve_http(args):
-    import json
-
-    from repro.bench.harness import http_benchmark
-    from repro.core.params import AccuracyParams
-    from repro.datasets import catalog
-    from repro.errors import ParameterError
-
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-        accuracy = AccuracyParams.paper_defaults(
-            graph.n, delta_scale=args.delta_scale
-        )
-        doc = http_benchmark(
-            graph, num_unique=args.sources, repeat=args.repeat,
-            concurrency=args.concurrency, num_workers=args.workers,
-            max_inflight=args.max_inflight, accuracy=accuracy,
-            seed=args.seed,
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    workload = doc["workload"]
-    latency = doc["latency"]
-    print(f"{args.dataset} (n={graph.n}, m={graph.m})  "
-          f"{workload['requests']} HTTP requests over "
-          f"{workload['unique_sources']} sources, "
-          f"{doc['concurrency']} clients / {doc['workers']} workers")
-    print(f"  wall time          {doc['wall_seconds']:8.3f} s  "
-          f"({doc['qps']:.1f} qps)")
-    print(f"  latency            p50 {latency['p50_seconds'] * 1e3:7.2f} ms  "
-          f"p95 {latency['p95_seconds'] * 1e3:7.2f} ms")
-    print(f"  shed / rate-limited retries: {doc['shed_total']} / "
-          f"{doc['rate_limited_total']}  "
-          f"(shed rate {doc['shed_rate']:.3f})")
-    print(f"  byte-identical to sequential: {doc['byte_identical']}")
-    if args.json:
-        from pathlib import Path
-
-        from repro.obs.export import _json_safe
-
-        path = Path(args.json)
-        path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
-                        encoding="utf-8")
-        print(f"  written to {path}")
-    if not doc["byte_identical"]:
-        print("HTTP results diverge from the sequential loop",
-              file=sys.stderr)
-        return 1
-    if doc["failures"]:
-        print(f"{len(doc['failures'])} requests failed terminally "
-              f"(first: {doc['failures'][0]})", file=sys.stderr)
-        return 1
-    if args.min_qps is not None and doc["qps"] < args.min_qps:
-        print(f"throughput {doc['qps']:.1f} qps below required "
-              f"{args.min_qps:.1f} qps", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(doc, args.json, [
+        None if doc["byte_identical"]
+        else "batched results diverge from the sequential loop",
+        _below("speedup", doc["speedup"], args.min_speedup),
+        _below("unique-source speedup", doc["unique_workload"]["speedup"],
+               args.min_unique_speedup),
+    ])
 
 
 def _run_push_bench(args):
-    import json
-
     from repro.bench.harness import push_benchmark
     from repro.datasets import catalog
-    from repro.errors import ParameterError
 
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-        h = args.h if args.h is not None else catalog.bench_h(args.dataset)
-        doc = push_benchmark(
-            graph, num_sources=args.sources, h=h, seed=args.seed,
-            repeats=args.repeats,
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    graph = catalog.load(args.dataset, scale=args.scale)
+    h = args.h if args.h is not None else catalog.bench_h(args.dataset)
+    doc = push_benchmark(
+        graph, num_sources=args.sources, h=h, seed=args.seed,
+        repeats=args.repeats,
+    )
     print(f"{args.dataset} (n={graph.n}, m={graph.m})  h={doc['h']}, "
           f"{len(doc['sources'])} sources")
     for phase in ("hhop", "omfwd"):
@@ -518,48 +372,28 @@ def _run_push_bench(args):
     print(f"  fixpoint gap {doc['fixpoint_gap']:.2e} "
           f"(tol {doc['equivalence_tol']:.0e}), "
           f"mass gap {doc['mass_gap']:.2e}")
-    if args.json:
-        from pathlib import Path
-
-        from repro.obs.export import _json_safe
-
-        path = Path(args.json)
-        path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
-                        encoding="utf-8")
-        print(f"  written to {path}")
-    if not doc["fixpoint_equivalent"]:
-        print("kernel fixpoint diverged from the seed loop", file=sys.stderr)
-        return 1
-    if not doc["mass_conserved"]:
-        print("reserve + residue mass drifted from 1", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and doc["speedup"] < args.min_speedup:
-        print(f"speedup {doc['speedup']:.2f}x below required "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(doc, args.json, [
+        None if doc["fixpoint_equivalent"]
+        else "kernel fixpoint diverged from the seed loop",
+        None if doc["mass_conserved"]
+        else "reserve + residue mass drifted from 1",
+        _below("speedup", doc["speedup"], args.min_speedup),
+    ])
 
 
 def _run_powerpush_bench(args):
-    import json
-
     from repro.bench.harness import powerpush_benchmark
     from repro.core.params import AccuracyParams
     from repro.datasets import catalog
-    from repro.errors import ParameterError
 
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-        accuracy = AccuracyParams.paper_defaults(
-            graph.n, delta_scale=args.delta_scale,
-        )
-        doc = powerpush_benchmark(
-            graph, batch_size=args.batch, repeats=args.repeats,
-            accuracy=accuracy, seed=args.seed,
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    graph = catalog.load(args.dataset, scale=args.scale)
+    accuracy = AccuracyParams.paper_defaults(
+        graph.n, delta_scale=args.delta_scale,
+    )
+    doc = powerpush_benchmark(
+        graph, batch_size=args.batch, repeats=args.repeats,
+        accuracy=accuracy, seed=args.seed,
+    )
     print(f"{args.dataset} (n={graph.n}, m={graph.m})  "
           f"batch={doc['batch_size']}, eps={doc['accuracy']['eps']:g}, "
           f"delta={doc['accuracy']['delta']:g}")
@@ -571,95 +405,28 @@ def _run_powerpush_bench(args):
     print(f"  max |blocked - loop| {doc['max_abs_gap']:.2e} "
           f"(tol {doc['equivalence_tol']:.0e}), "
           f"byte-identical: {doc['byte_identical']}")
-    if args.json:
-        from pathlib import Path
-
-        from repro.obs.export import _json_safe
-
-        path = Path(args.json)
-        path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
-                        encoding="utf-8")
-        print(f"  written to {path}")
-    if not doc["within_tol"]:
-        print(f"blocked answers diverged from the per-source loop by "
-              f"{doc['max_abs_gap']:.2e}", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and doc["speedup"] < args.min_speedup:
-        print(f"speedup {doc['speedup']:.2f}x below required "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_topk_bench(args):
-    import json
-
-    from repro.bench.harness import topk_benchmark
-    from repro.datasets import catalog
-    from repro.errors import ParameterError
-
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-        doc = topk_benchmark(
-            graph, k=args.k, num_sources=args.sources, eps=args.eps,
-            seed=args.seed, delta_scale=args.delta_scale,
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    workload = doc["workload"]
-    print(f"{args.dataset} (n={graph.n}, m={graph.m})  k={doc['k']}, "
-          f"{workload['num_sources']} sources, "
-          f"eps={doc['accuracy']['eps']:g}")
-    print(f"  full solve         {doc['full_seconds']:8.3f} s")
-    print(f"  envelope           {doc['fast_seconds']:8.3f} s  "
-          f"({doc['speedup']:.2f}x)")
-    print(f"  per envelope answer: median {doc['median_sweeps']:g} power "
-          f"sweeps, {doc['median_checks']:g} certificate checks")
-    print(f"  separated: {doc['separated_count']}/"
-          f"{workload['num_sources']}")
-    print(f"  separated sets match the exact solve: {doc['agreement']}")
-    if args.json:
-        from pathlib import Path
-
-        from repro.obs.export import _json_safe
-
-        path = Path(args.json)
-        path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
-                        encoding="utf-8")
-        print(f"  written to {path}")
-    if not doc["agreement"]:
-        print(f"separated top-k sets diverge from the exact solve on "
-              f"sources {doc['disagreements']}", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and doc["speedup"] < args.min_speedup:
-        print(f"speedup {doc['speedup']:.2f}x below required "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(doc, args.json, [
+        None if doc["within_tol"]
+        else f"blocked answers diverged from the per-source loop by "
+             f"{doc['max_abs_gap']:.2e}",
+        _below("speedup", doc["speedup"], args.min_speedup),
+    ])
 
 
 def _run_dynamic_bench(args):
-    import json
-
     from repro.bench.harness import dynamic_benchmark
     from repro.core.params import AccuracyParams
     from repro.datasets import catalog
-    from repro.errors import ParameterError
 
-    try:
-        graph = catalog.load(args.dataset, scale=args.scale)
-        accuracy = AccuracyParams.paper_defaults(
-            graph.n, delta_scale=args.delta_scale)
-        doc = dynamic_benchmark(
-            graph, num_unique=args.sources, rounds=args.rounds,
-            write_every=args.write_every, accuracy=accuracy,
-            solve_margin=args.solve_margin, num_workers=args.workers,
-            seed=args.seed, grace_factor=args.grace_factor,
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    graph = catalog.load(args.dataset, scale=args.scale)
+    accuracy = AccuracyParams.paper_defaults(
+        graph.n, delta_scale=args.delta_scale)
+    doc = dynamic_benchmark(
+        graph, num_unique=args.sources, rounds=args.rounds,
+        write_every=args.write_every, accuracy=accuracy,
+        solve_margin=args.solve_margin, num_workers=args.workers,
+        seed=args.seed, grace_factor=args.grace_factor,
+    )
     workload = doc["workload"]
     site = workload["mutation_site"]
     print(f"{args.dataset} (n={graph.n}, m={graph.m})  "
@@ -687,53 +454,22 @@ def _run_dynamic_bench(args):
           f"{doc['p95_speedup_vs_quiesce']:.2f}x faster)")
     print(f"  retained answers meet the contract vs exact solve: "
           f"{doc['retained_within_contract']}")
-    if args.json:
-        from pathlib import Path
-
-        from repro.obs.export import _json_safe
-
-        path = Path(args.json)
-        path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
-                        encoding="utf-8")
-        print(f"  written to {path}")
-    if doc["retained_within_contract"] is False:
-        print("a cached answer violated its accuracy contract against the "
-              "exact solve", file=sys.stderr)
-        for entry in doc["contract_checks"]:
-            if entry["passed"]:
-                continue
-            origin = ("retained across edits" if entry["retained"]
-                      else "solved on the current snapshot")
-            print(f"  source {entry['source']}: worst error/(eps*exact) "
-                  f"{entry['worst']:.3f}, {origin}, tracked eps_bound "
-                  f"{entry['eps_bound']}", file=sys.stderr)
-        return 1
-    if (args.min_retention is not None
-            and doc["retention_rate"] < args.min_retention):
-        print(f"retention rate {doc['retention_rate']:.2f} below required "
-              f"{args.min_retention:.2f}", file=sys.stderr)
-        return 1
-    if (args.max_p95_ratio is not None
-            and doc["p95_ratio_vs_read_only"] > args.max_p95_ratio):
-        print(f"incremental p95 is {doc['p95_ratio_vs_read_only']:.2f}x "
-              f"the read-only baseline, above the allowed "
-              f"{args.max_p95_ratio:.2f}x", file=sys.stderr)
-        return 1
-    return 0
+    ratio = doc["p95_ratio_vs_read_only"]
+    return _finish(doc, args.json, [
+        _contract_failure(doc),
+        _below("retention rate", doc["retention_rate"], args.min_retention,
+               unit=""),
+        None if args.max_p95_ratio is None or ratio <= args.max_p95_ratio
+        else f"incremental p95 is {ratio:.2f}x the read-only baseline, "
+             f"above the allowed {args.max_p95_ratio:.2f}x",
+    ])
 
 
 def _run_scale_bench(args):
-    import json
-
     from repro.bench.harness import scale_benchmark
-    from repro.errors import ParameterError
 
-    try:
-        doc = scale_benchmark(nodes=args.nodes, edges=args.edges,
-                              seed=args.seed, workdir=args.workdir)
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    doc = scale_benchmark(nodes=args.nodes, edges=args.edges,
+                          seed=args.seed, workdir=args.workdir)
     graph = doc["graph"]
     print(f"edge list: {doc['workload']['edges_written']} lines "
           f"({doc['workload']['edge_file_bytes'] >> 20} MiB)  ->  "
@@ -748,26 +484,63 @@ def _run_scale_bench(args):
               f"{run['seconds']:6.2f} s")
     print(f"  memory advantage: {doc['memory_advantage']:.2f}x  "
           f"(digest match: {doc['digest_match']})")
-    if args.json:
+    return _finish(doc, args.json, [
+        None if doc["digest_match"]
+        else "streaming ingestion did not reproduce the in-RAM "
+             "loader's graph",
+        _below("memory advantage", doc["memory_advantage"],
+               args.min_memory_advantage),
+    ])
+
+
+def _finish(doc, path, failures):
+    """Write a benchmark document and turn its gates into an exit code.
+
+    ``path`` is the ``--json`` target (``None`` writes nothing).
+    ``failures`` holds one entry per gate, in the order they are
+    checked: the stderr message when the gate failed, else ``None``.
+    Only the first failure is printed; any failure exits 1.
+    """
+    if path:
+        import json
         from pathlib import Path
 
         from repro.obs.export import _json_safe
 
-        path = Path(args.json)
+        path = Path(path)
         path.write_text(json.dumps(_json_safe(doc), indent=2) + "\n",
                         encoding="utf-8")
         print(f"  written to {path}")
-    if not doc["digest_match"]:
-        print("streaming ingestion did not reproduce the in-RAM "
-              "loader's graph", file=sys.stderr)
-        return 1
-    if (args.min_memory_advantage is not None
-            and doc["memory_advantage"] < args.min_memory_advantage):
-        print(f"memory advantage {doc['memory_advantage']:.2f}x below "
-              f"required {args.min_memory_advantage:.2f}x",
-              file=sys.stderr)
-        return 1
+    for message in failures:
+        if message is not None:
+            print(message, file=sys.stderr)
+            return 1
     return 0
+
+
+def _below(label, value, floor, *, unit="x"):
+    """The failure message of a ``--min-*`` gate, or ``None`` when the
+    gate is unset or ``value`` reaches ``floor``."""
+    if floor is None or value >= floor:
+        return None
+    return f"{label} {value:.2f}{unit} below required {floor:.2f}{unit}"
+
+
+def _contract_failure(doc):
+    """The dynamic bench's contract failure, one line per failed entry."""
+    if doc["retained_within_contract"] is not False:
+        return None
+    lines = ["a cached answer violated its accuracy contract against the "
+             "exact solve"]
+    for entry in doc["contract_checks"]:
+        if entry["passed"]:
+            continue
+        origin = ("retained across edits" if entry["retained"]
+                  else "solved on the current snapshot")
+        lines.append(f"  source {entry['source']}: worst error/(eps*exact) "
+                     f"{entry['worst']:.3f}, {origin}, tracked eps_bound "
+                     f"{entry['eps_bound']}")
+    return "\n".join(lines)
 
 
 def _print_datasets(scale):

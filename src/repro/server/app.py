@@ -507,7 +507,11 @@ class SSRWRServer:
         source = self._int_field(payload, "source")
         accuracy = self._accuracy_from(payload)
         deadline = self._deadline_for(request)
-        top_k = payload.get("top_k")
+        top_k = None
+        if payload.get("top_k") is not None:
+            top_k = self._int_field(payload, "top_k")
+            if top_k < 1:
+                raise ProtocolError(400, f"'top_k' must be >= 1, got {top_k}")
         policy = self._tier_policy
         reason = degraded
         if reason is None and policy.enabled:
@@ -549,7 +553,7 @@ class SSRWRServer:
             doc["error_bound"] = result.extras.get("error_bound")
             self.metrics.observe_degraded(tier)
         if top_k is not None:
-            doc["nodes"], doc["values"] = result.top_k(int(top_k))
+            doc["nodes"], doc["values"] = result.top_k(top_k)
         else:
             doc["estimates"] = result.estimates
         return 200, json_body(doc), None, "application/json"
@@ -620,7 +624,9 @@ class SSRWRServer:
         if op == "add_edge":
             u = self._int_field(payload, "u")
             v = self._int_field(payload, "v")
-            undirected = bool(payload.get("undirected", False))
+            undirected = payload.get("undirected", False)
+            if not isinstance(undirected, bool):
+                raise ProtocolError(400, "'undirected' must be a boolean")
             changed = await self._in_pool(
                 lambda: self._engine.add_edge(u, v, undirected=undirected)
             )

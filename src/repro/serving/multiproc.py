@@ -3,10 +3,9 @@
 :class:`MultiProcessQueryEngine` is the process-pooled counterpart of
 :class:`repro.serving.ConcurrentQueryEngine`.  The threaded engine keeps
 every solve inside one GIL-bound interpreter, so a batch of cache-cold
-sources gains nothing from extra cores (``BENCH_serving.json`` measured
-``unique_workload.speedup = 0.90`` -- threads *lose* to a sequential
-loop).  This engine moves the solves into ``solver_workers`` spawn-based
-worker processes that all map the *same* graph snapshot zero-copy:
+sources gains nothing from extra cores.  This engine moves the solves
+into ``solver_workers`` spawn-based worker processes that all map the
+*same* graph snapshot zero-copy:
 
 * **Shared-memory graph.**  The dispatcher exports the CSR arrays once
   via :class:`repro.graph.shared.SharedCSRGraph`; workers rebuild a

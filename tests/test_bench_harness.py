@@ -147,6 +147,60 @@ class TestCLI:
         assert "residue accumulation" in out
 
 
+class TestBenchExitPath:
+    """Every ``repro-bench`` benchmark kind leaves through ``_finish``."""
+
+    def test_first_failed_gate_is_printed_and_exits_1(self, tmp_path,
+                                                      capsys):
+        import json
+
+        from repro.cli import _below, _finish
+
+        target = tmp_path / "doc.json"
+        code = _finish({"speedup": 1.5}, str(target), [
+            None, _below("speedup", 1.5, 2.0), "a later failure",
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err == "speedup 1.50x below required 2.00x\n"
+        assert f"  written to {target}" in out
+        assert json.loads(target.read_text()) == {"speedup": 1.5}
+
+    def test_met_and_unset_gates_exit_0(self, capsys):
+        from repro.cli import _below, _finish
+
+        assert _finish({}, None, [
+            None, _below("speedup", 3.0, 2.0), _below("speedup", 1.0, None),
+        ]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (_below("retention rate", 0.1, 0.2, unit="")
+                == "retention rate 0.10 below required 0.20")
+
+    def test_contract_failure_lists_each_failed_entry(self):
+        from repro.cli import _contract_failure
+
+        checks = [
+            {"source": 5, "worst": 3.0, "retained": True,
+             "eps_bound": 0.25, "passed": False},
+            {"source": 6, "worst": 0.5, "retained": False,
+             "eps_bound": 0.25, "passed": True},
+        ]
+        assert _contract_failure({"retained_within_contract": None}) is None
+        assert _contract_failure({"retained_within_contract": False,
+                                  "contract_checks": checks}) == (
+            "a cached answer violated its accuracy contract against the "
+            "exact solve\n"
+            "  source 5: worst error/(eps*exact) 3.000, retained across "
+            "edits, tracked eps_bound 0.25"
+        )
+
+    @pytest.mark.parametrize("kind", ["serve-batch", "push", "powerpush",
+                                      "dynamic"])
+    def test_unknown_dataset_exits_2(self, kind, capsys):
+        assert main([kind, "no-such-dataset"]) == 2
+        assert "no-such-dataset" in capsys.readouterr().err
+
+
 class TestSolverFactoriesExtra:
     def test_fwd_factory_default_threshold_scales_with_graph(self, graph):
         from repro.bench.solvers import make_fwd
@@ -178,50 +232,6 @@ class TestSolverFactoriesExtra:
         result = make_topppr(acc, k=10, seed=0, max_candidates=8)(graph, 0)
         assert result.algorithm == "topppr"
         assert result.extras["candidates"] <= 8
-
-
-class TestTopKBenchmark:
-    def test_doc_shape_and_gates(self, graph):
-        from repro.bench import TOPK_BENCH_KIND, topk_benchmark
-
-        doc = topk_benchmark(graph, k=3, num_sources=3, eps=0.3,
-                             seed=2, delta_scale=5.0)
-        assert doc["kind"] == TOPK_BENCH_KIND
-        assert doc["k"] == 3
-        assert doc["workload"]["num_sources"] == 3
-        assert len(doc["per_source"]) == 3
-        assert doc["separated_count"] + doc["unseparated_count"] == 3
-        assert doc["speedup"] > 0
-        # The correctness gate: separated sets equal the exact solve's.
-        assert doc["agreement"] is True
-        assert doc["disagreements"] == []
-        for entry in doc["per_source"]:
-            assert entry["agree"] is (True if entry["separated"] else None)
-            assert entry["checks"] >= 1
-        assert doc["median_sweeps"] == np.median(
-            [entry["sweeps"] for entry in doc["per_source"]])
-        assert doc["median_checks"] == np.median(
-            [entry["checks"] for entry in doc["per_source"]])
-
-    def test_cli_topk_parser_defaults(self):
-        args = build_parser().parse_args(["topk", "dblp"])
-        assert args.k == 4
-        assert args.sources == 20
-        assert args.eps == 0.05
-        assert args.min_speedup is None
-
-    def test_trend_kind_registered(self):
-        import importlib.util
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location(
-            "bench_trend",
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "bench_trend.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert module.KNOWN_METRICS["repro-topk-bench"] == ("speedup",)
 
 
 class TestDynamicBenchmark:
@@ -277,6 +287,72 @@ class TestDynamicBenchmark:
         assert entry["worst"] > 1.0
         assert entry["retained"] is False       # solved on this snapshot
         assert entry["eps_bound"] == accuracy.eps * 0.5
+
+    def test_contract_check_samples_retained_entries_first(self):
+        """A corrupted retained entry behind three fresh solves in LRU
+        order is still among the sampled answers."""
+        from repro.bench.harness import _check_cached_contracts
+        from repro.serving import ConcurrentQueryEngine
+        from tests.test_serving_dynamic import (
+            BROADCASTER,
+            CYCLE,
+            SOURCES,
+            broadcaster_graph,
+        )
+
+        graph = broadcaster_graph()
+        accuracy = AccuracyParams.paper_defaults(graph.n)
+        retained = SOURCES[0]
+        fresh = [SOURCES[1], SOURCES[2], CYCLE[-1]]
+        with ConcurrentQueryEngine(graph, accuracy=accuracy, seed=0,
+                                   incremental=True,
+                                   solve_margin=0.5) as svc:
+            svc.query(retained)
+            assert svc.add_edge(BROADCASTER, CYCLE[-1])
+            last = svc.stats.extras["last_mutation"]
+            assert last["retained_sources"] == [retained]
+            for source in fresh:
+                svc.query(source)
+            # The hit moves the retained entry to the MRU end.
+            svc.query(retained).estimates[:] *= 3.0
+            order = [key[0] for key, _ in svc._cache.entries()]
+            assert order == fresh + [retained]
+            ok, entries = _check_cached_contracts(svc, accuracy)
+        assert ok is False
+        assert [entry["source"] for entry in entries] == [retained] + fresh[:2]
+        assert entries[0]["retained"] is True
+        assert entries[0]["passed"] is False
+        assert all(entry["passed"] for entry in entries[1:])
+
+    def test_contract_check_reads_an_earlier_snapshot(self):
+        """A later edit that drops every entry does not hide the answers
+        an earlier edit retained."""
+        from repro.bench.harness import _cache_snapshot, _check_cached_contracts
+        from repro.serving import ConcurrentQueryEngine
+        from tests.test_serving_dynamic import (
+            BROADCASTER,
+            CYCLE,
+            SOURCES,
+            broadcaster_graph,
+        )
+
+        graph = broadcaster_graph()
+        accuracy = AccuracyParams.paper_defaults(graph.n)
+        with ConcurrentQueryEngine(graph, accuracy=accuracy, seed=0,
+                                   incremental=True,
+                                   solve_margin=0.5) as svc:
+            svc.query_batch(SOURCES)
+            assert svc.add_edge(BROADCASTER, CYCLE[-1])
+            snapshot = _cache_snapshot(svc)
+            assert svc.remove_node(1)    # drops the whole cache
+            assert _check_cached_contracts(svc, accuracy) == (False, [])
+            ok, entries = _check_cached_contracts(svc, accuracy,
+                                                  snapshot=snapshot)
+        assert ok is True
+        assert sorted(entry["source"] for entry in entries) == SOURCES
+        assert all(entry["retained"] for entry in entries)
+        assert all(entry["eps_bound"] > accuracy.eps * 0.5
+                   for entry in entries)
 
     def test_cli_dynamic_parser_defaults(self):
         args = build_parser().parse_args(["dynamic", "dblp"])

@@ -28,8 +28,8 @@ def serving_doc(speedup, unique_speedup):
             "unique_workload": {"speedup": unique_speedup}}
 
 
-def http_doc(qps):
-    return {"kind": "repro-http-bench", "qps": qps}
+def powerpush_doc(speedup):
+    return {"kind": "repro-powerpush-bench", "speedup": speedup}
 
 
 def write_run(root, docs):
@@ -53,7 +53,7 @@ def run(tmp_path, previous, current, *extra):
 
 def test_no_baseline_passes(tmp_path):
     (tmp_path / "previous").mkdir()
-    write_run(tmp_path / "current", {"BENCH_http": http_doc(40.0)})
+    write_run(tmp_path / "current", {"BENCH_powerpush": powerpush_doc(40.0)})
     assert bench_trend.main([
         "--previous", str(tmp_path / "previous"),
         "--current", str(tmp_path / "current"),
@@ -64,17 +64,17 @@ def test_within_threshold_passes(tmp_path):
     assert run(
         tmp_path,
         {"BENCH_serving": serving_doc(4.0, 1.0),
-         "BENCH_http": http_doc(40.0)},
+         "BENCH_powerpush": powerpush_doc(40.0)},
         {"BENCH_serving": serving_doc(3.6, 0.9),
-         "BENCH_http": http_doc(36.0)},
+         "BENCH_powerpush": powerpush_doc(36.0)},
     ) == 0
 
 
 def test_regression_beyond_threshold_fails(tmp_path):
     assert run(
         tmp_path,
-        {"BENCH_http": http_doc(40.0)},
-        {"BENCH_http": http_doc(30.0)},  # -25% > 15% tolerance
+        {"BENCH_powerpush": powerpush_doc(40.0)},
+        {"BENCH_powerpush": powerpush_doc(30.0)},  # -25% > 15% tolerance
     ) == 1
 
 
@@ -91,14 +91,14 @@ def test_new_and_renamed_benchmarks_are_ignored(tmp_path):
     # only the overlap is compared.
     assert run(
         tmp_path,
-        {"BENCH_http": http_doc(40.0), "BENCH_old": http_doc(100.0)},
-        {"BENCH_http": http_doc(41.0), "BENCH_new": http_doc(1.0)},
+        {"BENCH_powerpush": powerpush_doc(40.0), "BENCH_old": powerpush_doc(100.0)},
+        {"BENCH_powerpush": powerpush_doc(41.0), "BENCH_new": powerpush_doc(1.0)},
     ) == 0
 
 
 def test_unknown_kind_and_garbage_files_are_skipped(tmp_path):
-    write_run(tmp_path / "previous", {"BENCH_http": http_doc(40.0)})
-    write_run(tmp_path / "current", {"BENCH_http": http_doc(40.0)})
+    write_run(tmp_path / "previous", {"BENCH_powerpush": powerpush_doc(40.0)})
+    write_run(tmp_path / "current", {"BENCH_powerpush": powerpush_doc(40.0)})
     weird = tmp_path / "current" / "BENCH_weird"
     weird.mkdir()
     (weird / "BENCH_weird.json").write_text("{not json", encoding="utf-8")
@@ -116,15 +116,15 @@ def test_summary_table_written(tmp_path, capsys):
     summary = tmp_path / "summary.md"
     assert run(
         tmp_path,
-        {"BENCH_http": http_doc(40.0)},
-        {"BENCH_http": http_doc(20.0)},
+        {"BENCH_powerpush": powerpush_doc(40.0)},
+        {"BENCH_powerpush": powerpush_doc(20.0)},
         "--summary", str(summary),
     ) == 1
     text = summary.read_text(encoding="utf-8")
     assert "| benchmark | metric |" in text
     assert "REGRESSED" in text
     out = capsys.readouterr()
-    assert "BENCH_http" in out.out
+    assert "BENCH_powerpush" in out.out
     assert "regressed" in out.err
 
 
@@ -149,10 +149,10 @@ def test_dig_helper():
 @pytest.mark.skipif(sys.platform == "win32", reason="posix paths in doc")
 def test_compare_skips_nonpositive_and_missing_baselines():
     rows = bench_trend.compare(
-        {"a": {"kind": "repro-http-bench", "qps": 0.0},
-         "b": {"kind": "repro-http-bench"}},
-        {"a": {"kind": "repro-http-bench", "qps": 10.0},
-         "b": {"kind": "repro-http-bench", "qps": 10.0}},
+        {"a": {"kind": "repro-powerpush-bench", "speedup": 0.0},
+         "b": {"kind": "repro-powerpush-bench"}},
+        {"a": {"kind": "repro-powerpush-bench", "speedup": 10.0},
+         "b": {"kind": "repro-powerpush-bench", "speedup": 10.0}},
         0.15,
     )
     assert rows == []

@@ -315,6 +315,33 @@ class TestServerRejections:
             client.request("POST", "/query_batch", {"sources": []})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("top_k", [0, -3, "abc", 2.7, True],
+                             ids=["zero", "negative", "string", "float",
+                                  "bool"])
+    def test_bad_query_top_k_is_400(self, served, top_k):
+        _, client = served
+        from repro.server import ServerError
+
+        with pytest.raises(ServerError) as excinfo:
+            client.request("POST", "/query", {"source": 1, "top_k": top_k})
+        assert excinfo.value.status == 400
+        assert "top_k" in str(excinfo.value)
+
+    @pytest.mark.parametrize("undirected", ["false", 0, 1, None],
+                             ids=["string", "zero", "one", "null"])
+    def test_non_boolean_undirected_is_400(self, served, undirected):
+        _, client = served
+        from repro.server import ServerError
+
+        epoch = client.request("GET", "/readyz")["epoch"]
+        with pytest.raises(ServerError) as excinfo:
+            client.request("POST", "/mutate",
+                           {"op": "add_edge", "u": 0, "v": 59,
+                            "undirected": undirected})
+        assert excinfo.value.status == 400
+        assert "undirected" in str(excinfo.value)
+        assert client.request("GET", "/readyz")["epoch"] == epoch
+
     def test_server_still_healthy_after_rejections(self, served):
         _, client = served
         assert client.healthz() == {"status": "ok"}

@@ -708,19 +708,3 @@ class TestCli:
 
         assert main(["no-such-dataset"]) == 2
         assert "no-such-dataset" in capsys.readouterr().err
-
-    def test_bench_doc_shape(self):
-        """serve-http bench doc carries the gated fields."""
-        from repro.bench import HTTP_BENCH_KIND, http_benchmark
-
-        graph = generators.preferential_attachment(120, 3, seed=3)
-        doc = http_benchmark(graph, num_unique=3, repeat=2, concurrency=2,
-                             accuracy=_accuracy(graph.n), seed=SEED,
-                             num_workers=2)
-        assert doc["kind"] == HTTP_BENCH_KIND
-        assert doc["byte_identical"] is True
-        assert doc["failures"] == []
-        assert doc["qps"] > 0
-        assert set(doc["latency"]) == {"p50_seconds", "p95_seconds",
-                                       "mean_seconds"}
-        assert doc["workload"]["requests"] == 6

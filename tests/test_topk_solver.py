@@ -123,6 +123,27 @@ class TestTopKProperties:
                 f"diverges from the exact solve"
             )
 
+    def test_dblp_separated_sets_match_exact_solver(self):
+        """dblp, 20 ``random_seeds`` sources (seed 0), k=4, eps=0.05:
+        every separated set equals the ExactSolver top-k set."""
+        from repro.community.seeding import random_seeds
+        from repro.datasets import catalog
+
+        graph = catalog.load("dblp")
+        accuracy = AccuracyParams.paper_defaults(graph.n, eps=0.05)
+        exact = ExactSolver(graph)
+        separated = 0
+        for source in random_seeds(graph, 20, seed=0):
+            answer = answer_top_k(graph, source, 4, accuracy=accuracy)
+            if answer.separated:
+                separated += 1
+                want, _ = exact.query(source).top_k(4)
+                assert set(answer.nodes.tolist()) == set(want.tolist()), (
+                    f"source {source}: separated top-4 set diverges from "
+                    f"the exact solve"
+                )
+        assert separated > 0
+
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_bounds_contain_exact_scores(self, graph_name, k):
